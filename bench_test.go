@@ -12,6 +12,7 @@ package mpmc
 // methodology amortizes them across experiments.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -207,23 +208,36 @@ func BenchmarkBaselineComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkEquilibriumSolve measures one equilibrium solve (the inner
-// loop of assignment search).
+// BenchmarkEquilibriumSolve measures one contended two-process solve
+// (the inner step of every estimate) under each solver method. Auto, the
+// Newton solve with its window fallback, is what the server runs.
 func BenchmarkEquilibriumSolve(b *testing.B) {
 	m := FourCoreServer()
 	fs := []*FeatureVector{
 		TruthFeature(WorkloadByName("mcf"), m),
 		TruthFeature(WorkloadByName("art"), m),
 	}
-	// Warm the G tables.
-	if _, err := PredictGroup(fs, m.Assoc, SolverWindow); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := PredictGroup(fs, m.Assoc, SolverWindow); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range []struct {
+		name   string
+		method SolverMethod
+	}{
+		{"Window", SolverWindow},
+		{"Newton", SolverNewton},
+		{"Auto", SolverAuto},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			// Warm the G tables.
+			if _, err := PredictGroup(fs, m.Assoc, tc.method); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := PredictGroup(fs, m.Assoc, tc.method); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -276,9 +290,11 @@ func BenchmarkProfileOne(b *testing.B) {
 	}
 }
 
-// BenchmarkAssignmentSearch measures the exhaustive 4-process search on
-// the 4-core server (72 canonical placements, each an equilibrium solve
-// plus a power composition).
+// BenchmarkAssignmentSearch measures the exhaustive search on the 4-core
+// server at 4 processes (72 canonical layouts) and 5 processes (272, the
+// tail of the model-query workload). Each layout's estimate averages
+// Eq. 9 powers over the co-runs of both cache groups; the search solves
+// each distinct co-run once.
 func BenchmarkAssignmentSearch(b *testing.B) {
 	m := FourCoreServer()
 	pm, err := TrainPowerModel(m, ModelSet(), PowerTrainOptions{
@@ -288,20 +304,23 @@ func BenchmarkAssignmentSearch(b *testing.B) {
 		b.Fatal(err)
 	}
 	cm := NewCombinedModel(m, pm)
-	procs := []*FeatureVector{
-		TruthFeature(WorkloadByName("mcf"), m),
-		TruthFeature(WorkloadByName("art"), m),
-		TruthFeature(WorkloadByName("gzip"), m),
-		TruthFeature(WorkloadByName("vpr"), m),
+	var procs []*FeatureVector
+	for _, name := range []string{"mcf", "art", "gzip", "vpr", "equake"} {
+		procs = append(procs, TruthFeature(WorkloadByName(name), m))
 	}
-	if _, err := cm.BestAssignment(procs, 1); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cm.BestAssignment(procs, 1); err != nil {
-			b.Fatal(err)
-		}
+	for _, k := range []int{4, 5} {
+		b.Run(fmt.Sprintf("procs=%d", k), func(b *testing.B) {
+			if _, err := cm.BestAssignment(procs[:k], 1); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cm.BestAssignment(procs[:k], 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

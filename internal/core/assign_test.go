@@ -54,18 +54,19 @@ func TestBestAssignmentErrors(t *testing.T) {
 
 func TestCanonicalChoiceDeduplicates(t *testing.T) {
 	groups := [][]int{{0, 1}}
+	first := make([]int, 2)
 	// Two processes on two symmetric cores: [0,1] kept, [1,0] dropped.
-	if !canonicalChoice([]int{0, 1}, groups) {
+	if !canonicalChoice([]int{0, 1}, groups, first) {
 		t.Fatal("canonical arrangement rejected")
 	}
-	if canonicalChoice([]int{1, 0}, groups) {
+	if canonicalChoice([]int{1, 0}, groups, first) {
 		t.Fatal("mirror arrangement kept")
 	}
 	// Both on the same core: only core 0 usage is canonical.
-	if !canonicalChoice([]int{0, 0}, groups) {
+	if !canonicalChoice([]int{0, 0}, groups, first) {
 		t.Fatal("same-core canonical rejected")
 	}
-	if canonicalChoice([]int{1, 1}, groups) {
+	if canonicalChoice([]int{1, 1}, groups, first) {
 		t.Fatal("empty-then-used core kept")
 	}
 }

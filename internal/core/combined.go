@@ -111,9 +111,15 @@ func (cm *CombinedModel) EstimateAssignmentContext(ctx context.Context, asg Assi
 	if err := cm.validate(asg); err != nil {
 		return 0, err
 	}
+	return cm.estimate(ctx, asg, nil)
+}
+
+// estimate sums the per-group estimates of an already validated
+// assignment. memo is BestAssignmentContext's request-scoped memo, or nil.
+func (cm *CombinedModel) estimate(ctx context.Context, asg Assignment, memo *assignMemo) (float64, error) {
 	total := 0.0
-	for _, group := range cm.Machine.Groups {
-		watts, err := cm.estimateGroup(ctx, asg, group)
+	for gi := range cm.Machine.Groups {
+		watts, err := cm.estimateGroup(ctx, asg, gi, memo)
 		if err != nil {
 			return 0, err
 		}
@@ -122,20 +128,37 @@ func (cm *CombinedModel) EstimateAssignmentContext(ctx context.Context, asg Assi
 	return total, nil
 }
 
-// estimateGroup averages the modeled power of one cache group over all
+// estimateGroup averages the modeled power of cache group gi over all
 // process combinations (Eq. 10). Idle cores contribute P_idle.
-func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, group []int) (float64, error) {
-	var busy []int
+//
+// memo, when non-nil, describes asg by process index (see assignMemo): the
+// group's watts and each combination's Eq. 9 core powers are then looked
+// up before they are computed, and recorded after. Recorded values are
+// the ones this function would compute again, and they are consumed by
+// the same float operations in the same order, so results are
+// bit-identical with or without it.
+func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, gi int, memo *assignMemo) (float64, error) {
+	gkey, memoWatts, ok := memo.groupWatts(gi)
+	if ok {
+		return memoWatts, nil
+	}
+	sc := &groupScratch{}
+	if memo != nil {
+		sc = &memo.scratch
+	}
+	busy := sc.busy[:0]
 	idle := 0
-	for _, c := range group {
+	for _, c := range cm.Machine.Groups[gi] {
 		if len(asg[c]) > 0 {
 			busy = append(busy, c)
 		} else {
 			idle++
 		}
 	}
+	sc.busy = busy
 	watts := float64(idle) * cm.Power.PIdle()
 	if len(busy) == 0 {
+		memo.recordGroup(gi, gkey, watts)
 		return watts, nil
 	}
 	// The busy-power average is a pure function of the power model, the
@@ -147,42 +170,74 @@ func (cm *CombinedModel) estimateGroup(ctx context.Context, asg Assignment, grou
 	if cm.State != nil {
 		wkey = cm.State.wattsKey(cm.Power, cm.Solver, cm.Machine.Assoc, asg, busy)
 		if avg, ok := cm.State.wattsSeed(wkey); ok {
+			memo.recordGroup(gi, gkey, watts+avg)
 			return watts + avg, nil
 		}
 	}
-	// Enumerate the cross product of per-core process choices.
-	combo := make([]*FeatureVector, len(busy))
+	// Enumerate the cross product of per-core process choices as an
+	// odometer over pos: the last busy core varies fastest.
+	pos := resize(sc.pos, len(busy))
+	combo := resize(sc.combo, len(busy))
+	sc.pos, sc.combo = pos, combo
 	var sum float64
 	var count int
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(busy) {
+	for {
+		for i, c := range busy {
+			combo[i] = asg[c][pos[i]]
+		}
+		ckey, powers, ok := memo.comboPowers(busy, pos)
+		if !ok {
 			preds, err := PredictGroupCached(ctx, combo, cm.Machine.Assoc, cm.Solver, cm.State)
 			if err != nil {
-				return err
+				return 0, err
 			}
+			powers = sc.powers[:0]
 			for _, p := range preds {
-				sum += cm.ProcessCorePower(p)
+				powers = append(powers, cm.ProcessCorePower(p))
 			}
-			count++
-			return nil
+			sc.powers = powers
+			memo.recordCombo(ckey, powers)
 		}
-		for _, f := range asg[busy[i]] {
-			combo[i] = f
-			if err := rec(i + 1); err != nil {
-				return err
+		for _, w := range powers {
+			sum += w
+		}
+		count++
+		i := len(busy) - 1
+		for ; i >= 0; i-- {
+			if pos[i]++; pos[i] < len(asg[busy[i]]) {
+				break
 			}
+			pos[i] = 0
 		}
-		return nil
-	}
-	if err := rec(0); err != nil {
-		return 0, err
+		if i < 0 {
+			break
+		}
 	}
 	avg := sum / float64(count)
 	if cm.State != nil {
 		cm.State.wattsRecord(wkey, avg)
 	}
+	memo.recordGroup(gi, gkey, watts+avg)
 	return watts + avg, nil
+}
+
+// groupScratch is estimateGroup's working storage, reused across calls
+// through the memo.
+type groupScratch struct {
+	busy, pos []int
+	combo     []*FeatureVector
+	powers    []float64
+}
+
+// resize returns s resliced to n zeroed elements, reusing its backing
+// array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // EstimateAddition implements the Figure 1 algorithm: the estimated

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"mpmc/internal/linalg"
 )
@@ -254,15 +255,71 @@ func solveWindow(ctx context.Context, features []*FeatureVector, assoc float64) 
 //
 // with a numerically differenced Jacobian, damped steps, and box
 // constraints keeping every S_i in (0, min(A, GMax_i)]. ctx is checked at
-// the top of every Newton iteration.
+// the top of every Newton iteration. The search runs on a pooled
+// newtonWork, so only the returned sizes are allocated.
 func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64) ([]float64, error) {
+	w := newtonPool.Get().(*newtonWork)
+	defer newtonPool.Put(w)
+	if _, err := w.solve(ctx, features, assoc); err != nil {
+		return nil, err
+	}
+	return append([]float64(nil), w.s...), nil
+}
+
+// newtonPool recycles Newton workspaces across solves and goroutines.
+var newtonPool = sync.Pool{New: func() any { return new(newtonWork) }}
+
+// newtonWork is the reusable storage of one Newton solve: the iterate, its
+// bounds, the residual and trial vectors, and the Jacobian that
+// linalg.SolveLUInPlace factors in place. After the first solve of a
+// given size, a solve allocates nothing.
+type newtonWork struct {
+	upper, s, r, rp, probe, step []float64
+	jac                          *linalg.Matrix
+}
+
+// size reallocates the workspace for k unknowns when k changes; solve
+// overwrites every element it reads.
+func (w *newtonWork) size(k int) {
+	if len(w.s) == k {
+		return
+	}
+	w.upper, w.s, w.r = make([]float64, k), make([]float64, k), make([]float64, k)
+	w.rp, w.probe, w.step = make([]float64, k), make([]float64, k), make([]float64, k)
+	w.jac = linalg.NewMatrix(k, k)
+}
+
+// eq7Residuals writes the Eq. 7 residuals at s into r. The residuals are
+// ratios whose scales differ by orders of magnitude across heterogeneous
+// processes; taking logarithms turns them into well-conditioned
+// differences with the same roots.
+func eq7Residuals(features []*FeatureVector, assoc float64, s, r []float64) {
+	sum := 0.0
+	for _, v := range s {
+		sum += v
+	}
+	r[0] = sum - assoc
+	f1 := features[0]
+	inv1 := f1.GInverse(s[0])
+	spi1 := f1.SPI(f1.MPA(s[0]))
+	for i := 1; i < len(s); i++ {
+		fi := features[i]
+		invi := fi.GInverse(s[i])
+		spii := fi.SPI(fi.MPA(s[i]))
+		r[i] = math.Log(inv1/invi) - math.Log((f1.API*spii)/(fi.API*spi1))
+	}
+}
+
+// solve runs the Newton search, leaving the converged sizes in w.s, and
+// returns the number of iterations it took.
+func (w *newtonWork) solve(ctx context.Context, features []*FeatureVector, assoc float64) (int, error) {
 	k := len(features)
-	upper := make([]float64, k)
+	w.size(k)
+	upper, s := w.upper, w.s
 	for i, f := range features {
 		upper[i] = math.Min(assoc, f.GMax())
 	}
 	// Start from a proportional-appetite split.
-	s := make([]float64, k)
 	total := 0.0
 	for i := range features {
 		total += upper[i]
@@ -276,53 +333,35 @@ func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64) 
 			s[i] = 0.05
 		}
 	}
-	// The Eq. 7 residuals are ratios whose scales differ by orders of
-	// magnitude across heterogeneous processes; taking logarithms turns
-	// them into well-conditioned differences with the same roots.
-	resid := func(s []float64) []float64 {
-		r := make([]float64, k)
-		sum := 0.0
-		for _, v := range s {
-			sum += v
-		}
-		r[0] = sum - assoc
-		f1 := features[0]
-		inv1 := f1.GInverse(s[0])
-		spi1 := f1.SPI(f1.MPA(s[0]))
-		for i := 1; i < k; i++ {
-			fi := features[i]
-			invi := fi.GInverse(s[i])
-			spii := fi.SPI(fi.MPA(s[i]))
-			r[i] = math.Log(inv1/invi) - math.Log((f1.API*spii)/(fi.API*spi1))
-		}
-		return r
-	}
 	const tol = 1e-9
 	for iter := 0; iter < 100; iter++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return iter, err
 		}
-		r := resid(s)
+		r := w.r
+		eq7Residuals(features, assoc, s, r)
 		if linalg.NormInf(r) < tol {
-			return s, nil
+			return iter, nil
 		}
 		// Forward-difference Jacobian.
-		jac := linalg.NewMatrix(k, k)
 		for j := 0; j < k; j++ {
 			h := 1e-6 * math.Max(1, s[j])
 			if s[j]+h > upper[j] {
 				h = -h
 			}
-			sp := append([]float64(nil), s...)
+			sp := w.probe
+			copy(sp, s)
 			sp[j] += h
-			rp := resid(sp)
+			rp := w.rp
+			eq7Residuals(features, assoc, sp, rp)
 			for i := 0; i < k; i++ {
-				jac.Set(i, j, (rp[i]-r[i])/h)
+				w.jac.Set(i, j, (rp[i]-r[i])/h)
 			}
 		}
-		step, err := linalg.SolveLU(jac, r)
-		if err != nil {
-			return nil, fmt.Errorf("core: Newton–Raphson Jacobian singular: %w", err)
+		step := w.step
+		copy(step, r)
+		if err := linalg.SolveLUInPlace(w.jac, step); err != nil {
+			return iter, fmt.Errorf("core: Newton–Raphson Jacobian singular: %w", err)
 		}
 		// Damped update with box clamping.
 		lambda := 1.0
@@ -341,7 +380,8 @@ func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64) 
 		improved := false
 		base := linalg.NormInf(r)
 		for ; lambda > 1e-4; lambda /= 2 {
-			trial := append([]float64(nil), s...)
+			trial := w.probe
+			copy(trial, s)
 			ok := true
 			for j := 0; j < k; j++ {
 				trial[j] -= lambda * step[j]
@@ -353,15 +393,16 @@ func solveNewton(ctx context.Context, features []*FeatureVector, assoc float64) 
 			if !ok {
 				continue
 			}
-			if linalg.NormInf(resid(trial)) < base {
+			eq7Residuals(features, assoc, trial, w.rp)
+			if linalg.NormInf(w.rp) < base {
 				copy(s, trial)
 				improved = true
 				break
 			}
 		}
 		if !improved {
-			return nil, fmt.Errorf("core: Newton–Raphson stalled at residual %.3g", base)
+			return iter, fmt.Errorf("core: Newton–Raphson stalled at residual %.3g", base)
 		}
 	}
-	return nil, fmt.Errorf("core: Newton–Raphson did not converge")
+	return 100, fmt.Errorf("core: Newton–Raphson did not converge")
 }

@@ -164,50 +164,57 @@ var ErrSingular = errors.New("linalg: singular matrix")
 
 // SolveLU solves A·x = b for square A using LU factorization with partial
 // pivoting. A and b are not modified. Returns ErrSingular when a pivot
-// underflows.
+// underflows. It is SolveLUInPlace on copies of A and b.
 func SolveLU(a *Matrix, b []float64) ([]float64, error) {
+	x := append([]float64(nil), b...)
+	if err := SolveLUInPlace(a.Clone(), x); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
+// SolveLUInPlace solves A·x = b without allocating: x holds b on entry and
+// the solution on return, and A is overwritten by its LU factors. It lets
+// a caller that rebuilds A every iteration (the Newton–Raphson Jacobian)
+// solve on reusable storage. Returns ErrSingular when a pivot underflows;
+// x and A are then left partially reduced.
+func SolveLUInPlace(a *Matrix, x []float64) error {
 	n := a.rows
 	if a.cols != n {
-		return nil, fmt.Errorf("linalg: SolveLU needs square matrix, got %dx%d", a.rows, a.cols)
+		return fmt.Errorf("linalg: LU solve needs square matrix, got %dx%d", a.rows, a.cols)
 	}
-	if len(b) != n {
-		return nil, fmt.Errorf("linalg: SolveLU rhs length %d, want %d", len(b), n)
+	if len(x) != n {
+		return fmt.Errorf("linalg: LU solve rhs length %d, want %d", len(x), n)
 	}
-	lu := a.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
+	lu := a.data
 	for col := 0; col < n; col++ {
 		// Partial pivoting: pick the largest magnitude in this column.
 		pivot := col
-		maxAbs := math.Abs(lu.data[col*n+col])
+		maxAbs := math.Abs(lu[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if v := math.Abs(lu.data[r*n+col]); v > maxAbs {
+			if v := math.Abs(lu[r*n+col]); v > maxAbs {
 				maxAbs = v
 				pivot = r
 			}
 		}
 		if maxAbs < 1e-14 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if pivot != col {
 			for j := 0; j < n; j++ {
-				lu.data[col*n+j], lu.data[pivot*n+j] = lu.data[pivot*n+j], lu.data[col*n+j]
+				lu[col*n+j], lu[pivot*n+j] = lu[pivot*n+j], lu[col*n+j]
 			}
 			x[col], x[pivot] = x[pivot], x[col]
 		}
-		inv := 1 / lu.data[col*n+col]
+		inv := 1 / lu[col*n+col]
 		for r := col + 1; r < n; r++ {
-			f := lu.data[r*n+col] * inv
+			f := lu[r*n+col] * inv
 			if f == 0 {
 				continue
 			}
-			lu.data[r*n+col] = f
+			lu[r*n+col] = f
 			for j := col + 1; j < n; j++ {
-				lu.data[r*n+j] -= f * lu.data[col*n+j]
+				lu[r*n+j] -= f * lu[col*n+j]
 			}
 			x[r] -= f * x[col]
 		}
@@ -216,11 +223,11 @@ func SolveLU(a *Matrix, b []float64) ([]float64, error) {
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
 		for j := i + 1; j < n; j++ {
-			s -= lu.data[i*n+j] * x[j]
+			s -= lu[i*n+j] * x[j]
 		}
-		x[i] = s / lu.data[i*n+i]
+		x[i] = s / lu[i*n+i]
 	}
-	return x, nil
+	return nil
 }
 
 // LeastSquares solves min_x ||A·x − b||₂ for a full-column-rank A with

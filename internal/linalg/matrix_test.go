@@ -170,6 +170,59 @@ func TestSolveLURandomProperty(t *testing.T) {
 	}
 }
 
+// TestSolveLUInPlaceMatchesSolveLU: the in-place solve is the same
+// arithmetic as SolveLU (bit for bit), overwrites A, and allocates
+// nothing.
+func TestSolveLUInPlaceMatchesSolveLU(t *testing.T) {
+	r := xrand.New(7)
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + r.Intn(8)
+		a := NewMatrix(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				a.Set(i, j, r.Float64()*2-1)
+			}
+		}
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = r.Float64()*10 - 5
+		}
+		want, werr := SolveLU(a, b)
+		lu := a.Clone()
+		x := append([]float64(nil), b...)
+		gerr := SolveLUInPlace(lu, x)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("trial %d: SolveLU err %v, in-place err %v", trial, werr, gerr)
+		}
+		if werr != nil {
+			continue
+		}
+		for i := range want {
+			if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: x[%d] = %v, SolveLU gave %v", trial, i, x[i], want[i])
+			}
+		}
+	}
+	a := NewMatrixFromRows([][]float64{{4, 1}, {1, 3}})
+	lu, x := a.Clone(), []float64{1, 2}
+	allocs := testing.AllocsPerRun(100, func() {
+		copy(lu.data, a.data)
+		x[0], x[1] = 1, 2
+		if err := SolveLUInPlace(lu, x); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SolveLUInPlace allocates %.1f times per call", allocs)
+	}
+	if err := SolveLUInPlace(NewMatrix(2, 3), x); err == nil {
+		t.Fatal("accepted a non-square matrix")
+	}
+	if err := SolveLUInPlace(NewMatrix(3, 3), x); err == nil {
+		t.Fatal("accepted a short right-hand side")
+	}
+}
+
 func TestLeastSquaresExactSystem(t *testing.T) {
 	// Square full-rank system: least squares must reproduce the exact solve.
 	a := NewMatrixFromRows([][]float64{

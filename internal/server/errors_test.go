@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mpmc/internal/machine"
 )
 
 // TestHandlerErrorPaths drives every typed failure mode through the real
@@ -67,6 +69,22 @@ func TestHandlerErrorPaths(t *testing.T) {
 			body: `{"benches":["mcf"],"top":-1}`, wantStatus: http.StatusBadRequest, wantCode: "bad_request",
 		},
 		{
+			// 4^11 raw layouts on the 4-core server: over the search bound.
+			name:   "assign search space too large",
+			mutate: func(c *Config) { c.Machine = machine.FourCoreServer() },
+			method: "POST", path: "/v1/assign",
+			body:       `{"benches":[` + repeatBench("mcf", 11) + `]}`,
+			wantStatus: http.StatusBadRequest, wantCode: "search_space_too_large",
+		},
+		{
+			// 4^32 wraps int to zero; the bound is checked before it can.
+			name:   "assign search space wraps",
+			mutate: func(c *Config) { c.Machine = machine.FourCoreServer() },
+			method: "POST", path: "/v1/assign",
+			body:       `{"benches":[` + repeatBench("mcf", 32) + `]}`,
+			wantStatus: http.StatusBadRequest, wantCode: "search_space_too_large",
+		},
+		{
 			name:   "oversized body",
 			mutate: func(c *Config) { c.MaxBodyBytes = 32 },
 			method: "POST", path: "/v1/profile",
@@ -96,6 +114,11 @@ func TestHandlerErrorPaths(t *testing.T) {
 			wantAPIError(t, status, raw, tc.wantStatus, tc.wantCode)
 		})
 	}
+}
+
+// repeatBench is a JSON list body of n copies of a quoted benchmark name.
+func repeatBench(name string, n int) string {
+	return strings.TrimSuffix(strings.Repeat(`"`+name+`",`, n), ",")
 }
 
 // TestPlaceMachineFull fills a MaxPerCore-capped machine and asserts the

@@ -207,6 +207,8 @@ func toAPIError(err error) *apiError {
 		return &apiError{Status: http.StatusConflict, Code: "machine_full", Message: err.Error()}
 	case errors.Is(err, manager.ErrUnknownProcess):
 		return &apiError{Status: http.StatusNotFound, Code: "unknown_process", Message: err.Error()}
+	case errors.Is(err, core.ErrSearchSpaceTooLarge):
+		return &apiError{Status: http.StatusBadRequest, Code: "search_space_too_large", Message: err.Error()}
 	default:
 		return &apiError{Status: http.StatusInternalServerError, Code: "internal", Message: err.Error()}
 	}
