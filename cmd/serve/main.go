@@ -12,8 +12,8 @@
 //	      [-shards 4] [-state-dir /var/lib/mpmc] [-debug-addr 127.0.0.1:6060]
 //
 // -fleet attaches a multi-machine scheduler (the /v1/fleet endpoints);
-// -shards splits it into independently locked node groups so placements
-// on disjoint machines commit concurrently; -state-dir persists every
+// -shards splits its nodes into independently locked groups so single
+// placements on disjoint groups commit concurrently; -state-dir persists every
 // fleet mutation to a snapshot+WAL directory (internal/wal) and recovers
 // residents and the pending queue byte-identically on restart;
 // -synthetic swaps trained models for the closed-form synthetic ones so
@@ -66,7 +66,7 @@ func main() {
 	fleetMaxPerCore := flag.Int("fleet-max-per-core", 2, "per-core time-sharing cap on fleet machines (0 = unbounded)")
 	fleetQueueCap := flag.Int("fleet-queue-cap", 16, "fleet admission-queue capacity (0 = no queue)")
 	scoreCache := flag.Int("score-cache", 0, "fleet score-memo capacity (0 = default, negative = solve cold; same answers either way)")
-	shards := flag.Int("shards", 1, "fleet shard count: independently locked node groups (>1 enables concurrent commits; decisions are shard-count-invariant)")
+	shards := flag.Int("shards", 1, "fleet lock-group count: independently locked node groups (>1 lets single placements on disjoint groups commit concurrently; decisions are shard-count-invariant)")
 	stateDir := flag.String("state-dir", "", "persist fleet placements to a snapshot+WAL directory and recover them on restart (requires -fleet)")
 	synthetic := flag.Bool("synthetic", false, "use the closed-form synthetic power model and truth-table features instead of training (instant startup; smoke/recovery drills)")
 	flag.Parse()
@@ -127,7 +127,7 @@ func main() {
 	// One registry shared by the server and the fleet, so the fleet gauges
 	// show up in the same /metrics exposition.
 	reg := metrics.NewRegistry()
-	var fl fleetBackend
+	var fl *fleet.Fleet
 	var stateLog *wal.Log
 	if *fleetSpec != "" {
 		var journal func([]wal.Event)
@@ -204,7 +204,7 @@ func main() {
 		Registry:       reg,
 	}
 	if fl != nil {
-		// Assigned conditionally: a nil fleetBackend stuffed into the
+		// Assigned conditionally: a nil *fleet.Fleet stuffed into the
 		// config's interface field would read as "fleet attached".
 		scfg.Fleet = fl
 	}
@@ -230,28 +230,20 @@ func main() {
 	logger.Info("stopped")
 }
 
-// fleetBackend is what buildFleet returns: the HTTP tier's scheduler
-// surface plus WAL recovery. Both *fleet.Fleet and *fleet.Sharded
-// satisfy it.
-type fleetBackend interface {
-	server.FleetBackend
-	Recover(ctx context.Context, st *wal.State) error
-}
-
 // buildFleet assembles the cluster scheduler from a comma-separated preset
 // list. Each distinct preset needs its own trained power model (Eq. 9
 // coefficients are per machine); the serving machine's model is reused
 // when a preset matches it, and the rest train here, once per kind — in
 // synthetic mode the shared closed-form model serves every preset and no
-// training happens. shards > 1 builds the independently locked node
-// groups; journal, when non-nil, receives every completed mutation's WAL
-// events.
+// training happens. shards > 1 splits the nodes into independently
+// locked groups; journal, when non-nil, receives every completed
+// mutation's WAL events.
 func buildFleet(ctx context.Context, logger *slog.Logger, reg *metrics.Registry,
 	spec, policyName string, maxPerCore, queueCap, scoreCacheCap, shards int, powerCap float64,
 	served *machine.Machine, servedPM *core.PowerModel,
 	profile func(context.Context, *machine.Machine, *workload.Spec, core.ProfileOptions) (*core.FeatureVector, error),
 	journal func([]wal.Event),
-	seed uint64, quick, synthetic bool, workers int) (fleetBackend, error) {
+	seed uint64, quick, synthetic bool, workers int) (*fleet.Fleet, error) {
 
 	policy, err := fleet.ParsePolicy(policyName)
 	if err != nil {
@@ -297,18 +289,5 @@ func buildFleet(ctx context.Context, logger *slog.Logger, reg *metrics.Registry,
 		Profile:       profile,
 		Journal:       journal,
 	}
-	// Explicit nil returns on error: `return fleet.New(cfg)` would wrap a
-	// nil concrete pointer in a non-nil interface.
-	if shards > 1 {
-		s, err := fleet.NewSharded(cfg, shards)
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
-	f, err := fleet.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
+	return fleet.NewSharded(cfg, max(shards, 1))
 }

@@ -20,32 +20,10 @@ import (
 	"mpmc/internal/core"
 	"mpmc/internal/fleet"
 	"mpmc/internal/machine"
-	"mpmc/internal/manager"
 	"mpmc/internal/wal"
 	"mpmc/internal/workload"
 	"mpmc/internal/xrand"
 )
-
-// krBackend is the mutation surface the storm drives; *fleet.Fleet and
-// *fleet.Sharded both satisfy it.
-type krBackend interface {
-	Place(ctx context.Context, spec *workload.Spec) (fleet.Placed, error)
-	SubmitWith(spec *workload.Spec, tag string, priority int) (int, error)
-	CancelQueued(ticket int) bool
-	Pump(ctx context.Context) ([]fleet.Placed, error)
-	Remove(ctx context.Context, node, instance string) ([]fleet.Placed, error)
-	FailNode(name string) ([]manager.Resident, error)
-	RestoreNode(ctx context.Context, name string) ([]fleet.Placed, error)
-	Rebalance(ctx context.Context, minImprovement float64) (fleet.Move, error)
-	Inspect() []fleet.NodeInspection
-	QueueDepth() int
-	State(ctx context.Context) (*fleet.State, error)
-	Recover(ctx context.Context, st *wal.State) error
-	EnforceCap(ctx context.Context) (fleet.CapReport, error)
-	CapUsage() float64
-	FreqStates() map[string]int
-	Totals(ctx context.Context) (spi, watts float64, err error)
-}
 
 // krPool is the workload draw for the storm.
 var krPool = []string{"gzip", "vpr", "mcf", "bzip2", "twolf", "art", "equake", "ammp", "swim", "applu"}
@@ -53,7 +31,7 @@ var krPool = []string{"gzip", "vpr", "mcf", "bzip2", "twolf", "art", "equake", "
 // buildKRFleet constructs the storm's fleet: identical configuration for
 // the pre-crash and the recovered instance, so any observable divergence
 // is recovery's fault.
-func buildKRFleet(t *testing.T, shards int, journal func([]wal.Event)) krBackend {
+func buildKRFleet(t *testing.T, shards int, journal func([]wal.Event)) *fleet.Fleet {
 	t.Helper()
 	pm, err := core.SyntheticPowerModel()
 	if err != nil {
@@ -80,14 +58,7 @@ func buildKRFleet(t *testing.T, shards int, journal func([]wal.Event)) krBackend
 		},
 		Journal: journal,
 	}
-	if shards > 1 {
-		s, err := fleet.NewSharded(cfg, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	f, err := fleet.New(cfg)
+	f, err := fleet.NewSharded(cfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,12 +241,10 @@ func runKillRestart(t *testing.T, seed uint64) {
 		}
 	}
 
-	// Model invariants hold on the recovered fleet.
-	if ff, ok := f2.(*fleet.Fleet); ok {
-		checker := &Checker{}
-		if vs := checker.CheckFleet(ctx, ff); len(vs) > 0 {
-			t.Fatalf("invariant violations after recovery: %v", vs)
-		}
+	// Model invariants hold on the recovered fleet, at every shard count.
+	checker := &Checker{}
+	if vs := checker.CheckFleet(ctx, f2); len(vs) > 0 {
+		t.Fatalf("invariant violations after recovery: %v", vs)
 	}
 
 	// An enforcement pass on the recovered fleet restores the budget even

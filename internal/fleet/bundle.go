@@ -115,7 +115,7 @@ func newBundle(f *Fleet) (*bundle, error) {
 
 // candidatesLocked refreshes the pipeline's view of every node — the
 // cheap, model-free facts predicates filter on — into per-fleet reusable
-// buffers. Callers must hold the fleet lock; the result is valid until
+// buffers. Callers must hold every lock; the result is valid until
 // the next placement mutates a node.
 func (f *Fleet) candidatesLocked() []*sched.CandidateNode {
 	if f.candPtrs == nil {

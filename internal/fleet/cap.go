@@ -7,11 +7,11 @@
 // state produces bit-identical bytes to the pre-DVFS code.
 //
 // The watt budget is a capLedger: one row per node holding the node's
-// scaled Eq. 10 estimate, guarded by its own mutex so a Sharded fleet's
-// shards share one ledger (Config.sharedCap) and two shards racing the
-// remaining headroom cannot both win it — tryReserve is the single
-// atomic admission gate, consulted by commitLocked before any manager
-// mutation. Enforcement ordering (DESIGN.md §13):
+// scaled Eq. 10 estimate, guarded by its own mutex so two commits on
+// different lock groups racing the remaining headroom cannot both win it
+// — tryReserve is the single atomic admission gate, consulted by
+// commitLocked before any manager mutation. Enforcement ordering
+// (DESIGN.md §13):
 //
 //  1. Admission: commitLocked reserves the node's post-placement scaled
 //     watts; a failed reservation surfaces as ErrFleetFull with the
@@ -87,8 +87,8 @@ func betaOf(fv *core.FeatureVector) float64 {
 }
 
 // capLedger is the fleet-wide watt budget and its per-node draw rows.
-// It has its own lock so a Sharded fleet's shards can share one instance:
-// cross-shard admission is serialized here, not by any fleet lock.
+// It has its own lock: admissions on different lock groups serialize
+// here, not on any group lock.
 //
 // Usage is always derived by summing the rows in sorted-name order, never
 // accumulated incrementally: an accumulator's value depends on the whole
@@ -99,6 +99,9 @@ type capLedger struct {
 	mu      sync.Mutex
 	watts   float64 // budget; 0 = no admission checks (tracking only)
 	perNode map[string]float64
+	// engaged is set by the first positive budget: until then the rows
+	// are never resynced, so reportedUsage is 0 rather than stale seeds.
+	engaged bool
 }
 
 func newCapLedger() *capLedger { return &capLedger{perNode: map[string]float64{}} }
@@ -113,6 +116,7 @@ func (l *capLedger) setCap(w float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.watts = w
+	l.engaged = l.engaged || w > 0
 }
 
 // sumLocked is the fleet draw: rows summed in sorted-name order, so the
@@ -133,6 +137,16 @@ func (l *capLedger) sumLocked() float64 {
 func (l *capLedger) usage() float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.sumLocked()
+}
+
+// reportedUsage is usage once a budget has ever been engaged, 0 before.
+func (l *capLedger) reportedUsage() float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.engaged {
+		return 0
+	}
 	return l.sumLocked()
 }
 
@@ -159,8 +173,8 @@ func (l *capLedger) setNode(name string, w float64) {
 // tryReserve atomically replaces one node's row with its post-placement
 // draw when the fleet total still fits the budget; it reports false —
 // ledger untouched — otherwise. This is the admission gate: because the
-// check and the write happen under one ledger lock, two shards racing
-// the last watts of headroom serialize here and exactly one wins.
+// check and the write happen under one ledger lock, two lock groups
+// racing the last watts of headroom serialize here and exactly one wins.
 func (l *capLedger) tryReserve(name string, w float64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -172,8 +186,7 @@ func (l *capLedger) tryReserve(name string, w float64) bool {
 	return true
 }
 
-// snapshotRows deep-copies the per-node rows (EnforceCap's transaction
-// window).
+// snapshotRows deep-copies the per-node rows (a transaction window).
 func (l *capLedger) snapshotRows() map[string]float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -196,27 +209,17 @@ func (l *capLedger) restoreRows(rows map[string]float64) {
 // capActive reports whether admissions and enforcement are constrained
 // by a positive watt budget right now.
 func (f *Fleet) capActive() bool {
-	return f.capL != nil && f.capL.capWatts() > 0
+	return f.capL.capWatts() > 0
 }
 
 // PowerCap returns the active fleet-wide watt budget (0 = uncapped).
-func (f *Fleet) PowerCap() float64 {
-	if f.capL == nil {
-		return 0
-	}
-	return f.capL.capWatts()
-}
+func (f *Fleet) PowerCap() float64 { return f.capL.capWatts() }
 
 // CapUsage returns the ledger's current fleet draw estimate in watts
 // (0 when the fleet has never been capped). While a cap is active it is
 // maintained exactly: the chaos invariants compare it against a fresh
 // Totals pass.
-func (f *Fleet) CapUsage() float64 {
-	if f.capL == nil {
-		return 0
-	}
-	return f.capL.usage()
-}
+func (f *Fleet) CapUsage() float64 { return f.capL.reportedUsage() }
 
 // SetPowerCap sets (watts > 0) or clears (watts == 0) the fleet-wide
 // power budget at runtime. Setting a cap re-syncs every node's ledger
@@ -227,18 +230,8 @@ func (f *Fleet) SetPowerCap(ctx context.Context, watts float64) error {
 	if watts < 0 {
 		return fmt.Errorf("fleet: negative power cap %v", watts)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.setPowerCapLocked(ctx, watts)
-}
-
-func (f *Fleet) setPowerCapLocked(ctx context.Context, watts float64) error {
-	if f.capL == nil {
-		if watts == 0 {
-			return nil
-		}
-		f.capL = newCapLedger()
-	}
+	f.lockAll()
+	defer f.unlockAll()
 	f.capL.setCap(watts)
 	if watts > 0 {
 		for _, n := range f.nodes {
@@ -251,12 +244,9 @@ func (f *Fleet) setPowerCapLocked(ctx context.Context, watts float64) error {
 }
 
 // resyncNodeCapLocked recomputes one node's ledger row from its live
-// scaled estimate. Callers hold the fleet lock; cheap mutation paths
+// scaled estimate. Callers hold n's group lock; cheap mutation paths
 // guard with capActive() so uncapped fleets never pay an estimate.
 func (f *Fleet) resyncNodeCapLocked(ctx context.Context, n *node) error {
-	if f.capL == nil {
-		return nil
-	}
 	if n.down {
 		f.capL.setNode(n.cfg.Name, 0)
 		return nil
@@ -293,18 +283,30 @@ func (f *Fleet) setFreqLocked(n *node, ix int) {
 	if ix == n.freqIx {
 		return
 	}
+	f.retuneLocked(n, ix)
+	f.journalFreqLocked(n)
+}
+
+// retuneLocked is setFreqLocked without the journal event. Callers hold
+// n's group lock.
+func (f *Fleet) retuneLocked(n *node, ix int) {
 	n.freqIx = ix
 	n.keyFeat, n.keyStr = nil, ""
-	f.version++
+	f.version.Add(1)
 	n.version++
-	f.journalLocked(wal.Event{Type: wal.EvFreq, Node: n.cfg.Name, Freq: ix + 1})
+}
+
+// journalFreqLocked stages n's current rung. Callers hold n's group lock
+// and the queue lock.
+func (f *Fleet) journalFreqLocked(n *node) {
+	f.journalLocked(wal.Event{Type: wal.EvFreq, Node: n.cfg.Name, Freq: n.freqIx + 1})
 }
 
 // FreqStates reports every node's current DVFS rung index, keyed by node
 // name (the chaos invariants and tests read it).
 func (f *Fleet) FreqStates() map[string]int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lockAll()
+	defer f.unlockAll()
 	out := make(map[string]int, len(f.nodes))
 	for _, n := range f.nodes {
 		out[n.cfg.Name] = n.freqIx
@@ -340,12 +342,8 @@ type CapReport struct {
 // failed enforcement leaves the fleet exactly as it was. With no active
 // cap it reports Satisfied and does nothing.
 func (f *Fleet) EnforceCap(ctx context.Context) (CapReport, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.enforceCapLocked(ctx)
-}
-
-func (f *Fleet) enforceCapLocked(ctx context.Context) (CapReport, error) {
+	f.lockAll()
+	defer f.unlockAll()
 	if !f.capActive() {
 		return CapReport{Satisfied: true}, nil
 	}
@@ -362,20 +360,9 @@ func (f *Fleet) enforceCapLocked(ctx context.Context) (CapReport, error) {
 		return rep, nil
 	}
 
-	snaps := make([]*manager.Snapshot, len(f.nodes))
-	rungs := make([]int, len(f.nodes))
-	for i, n := range f.nodes {
-		snaps[i], rungs[i] = n.mgr.Snapshot(), n.freqIx
-	}
-	rows := f.capL.snapshotRows()
+	tx := f.snapshotLocked()
 	fail := func(cause error) (CapReport, error) {
-		for i, n := range f.nodes {
-			n.mgr.Restore(snaps[i])
-			n.freqIx = rungs[i]
-			n.keyFeat, n.keyStr = nil, ""
-		}
-		f.capL.restoreRows(rows)
-		f.discardJournalLocked()
+		f.rollbackLocked(tx)
 		f.rollbacks.Inc()
 		return CapReport{}, fmt.Errorf("fleet: cap enforcement rolled back: %w", cause)
 	}
@@ -404,7 +391,7 @@ func (f *Fleet) enforceCapLocked(ctx context.Context) (CapReport, error) {
 	}
 	rep.WattsAfter = f.capL.usage()
 	rep.Satisfied = rep.WattsAfter <= budget
-	f.version++
+	f.version.Add(1)
 	f.flushJournalLocked()
 	// Lazily registered so uncapped fleets keep their exposition (and the
 	// server e2e golden) unchanged.
@@ -579,7 +566,7 @@ func (f *Fleet) applyCapActionLocked(ctx context.Context, act capAction, rep *Ca
 	}
 	f.capL.setNode(n.cfg.Name, act.afterW)
 	f.capL.setNode(dst.cfg.Name, act.afterDstW)
-	f.version++
+	f.version.Add(1)
 	n.version++
 	dst.version++
 	// Re-anchor both rows on the canonical whole-assignment estimate: the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -450,12 +451,18 @@ func TestFreqWALRecovery(t *testing.T) {
 	}
 }
 
-// TestShardedCapRace races concurrent placements on a Sharded fleet
-// against a budget with room for only some of them: the shared ledger's
+// TestShardedCapRace races concurrent placements against a budget with
+// room for only some of them, at one lock group and at two: the ledger's
 // tryReserve must serialize admission so the final draw never exceeds the
 // cap, and every loser is an ErrFleetFull. Run under -race this also
-// exercises the ledger lock discipline across shards.
+// exercises the ledger lock discipline across groups.
 func TestShardedCapRace(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) { testCapRace(t, shards) })
+	}
+}
+
+func testCapRace(t *testing.T, shards int) {
 	ctx := context.Background()
 	pm := testPower(t)
 	mkCfg := func(cap float64) Config {
@@ -472,7 +479,7 @@ func TestShardedCapRace(t *testing.T) {
 	}
 	// Calibrate on a throwaway fleet: the idle floor plus roughly half the
 	// draw the full batch would add.
-	probe, err := NewSharded(mkCfg(1e9), 2)
+	probe, err := NewSharded(mkCfg(1e9), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +490,7 @@ func TestShardedCapRace(t *testing.T) {
 	}
 	budget := static + (probe.CapUsage()-static)*0.5
 
-	s, err := NewSharded(mkCfg(budget), 2)
+	s, err := NewSharded(mkCfg(budget), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,12 +581,11 @@ func TestSimCapEvents(t *testing.T) {
 	}
 }
 
-// TestShardedCapLifecycle walks the sharded tier's budget surface the
+// TestShardedCapLifecycle walks a two-group fleet's budget surface the
 // way an operator would: tighten the cap mid-flight, force an
 // enforcement pass, read the rungs back, then clear the budget. The
-// enforcement itself is shard-local (documented divergence), but the
-// aggregate report must still account every down-clock and land the
-// shared ledger under the budget.
+// report must account every down-clock and land the ledger under the
+// budget.
 func TestShardedCapLifecycle(t *testing.T) {
 	ctx := context.Background()
 	pm := testPower(t)

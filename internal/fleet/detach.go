@@ -1,20 +1,23 @@
-// Detached scoring: the queue pump's equilibrium solves run outside the
-// fleet lock against a version-stamped view, so Submit/Cancel/State are
-// never blocked behind a scoring pass. Correctness rests on three facts:
+// Detached scoring: the queue pump's equilibrium solves — and, with more
+// than one lock group, a single placement's — run outside every lock
+// against a version-stamped view, so Submit/Cancel/State are never
+// blocked behind a scoring pass. Correctness rests on three facts:
 // captured assignment snapshots are immutable (assignmentOf replaces, and
 // every scoring path copies on write), the score/feature caches and the
 // solver state are concurrency-safe and content-addressed, and a commit
 // only lands when the WINNING node's version still equals the view's
 // per-node stamp — a mutation on the chosen node forces a re-score
 // (which then decides exactly what a fresh in-lock pass would), while
-// mutations on other nodes never invalidate, so disjoint placements
-// commit concurrently. A no-fit outcome is the one fleet-wide claim and
-// revalidates against the fleet version instead.
+// mutations on other nodes never invalidate, so placements on disjoint
+// lock groups commit concurrently. A no-fit outcome is the one
+// fleet-wide claim: the pump revalidates it against the fleet version,
+// and a single placement confirms it under every lock.
 
 package fleet
 
 import (
 	"context"
+	"errors"
 
 	"mpmc/internal/core"
 	"mpmc/internal/parallel"
@@ -22,7 +25,7 @@ import (
 	"mpmc/internal/workload"
 )
 
-// viewNode is one node's scoring inputs, captured under the fleet lock.
+// viewNode is one node's scoring inputs, captured under its group lock.
 type viewNode struct {
 	n    *node
 	ver  uint64 // the node's version at capture time
@@ -41,7 +44,7 @@ type placeView struct {
 }
 
 // captureNodeLocked snapshots one node's scoring inputs for one
-// arrival. Callers must hold the fleet lock.
+// arrival. Callers must hold the node's group lock.
 func (f *Fleet) captureNodeLocked(ctx context.Context, i int, spec *workload.Spec) (viewNode, error) {
 	n := f.nodes[i]
 	vn := viewNode{n: n, ver: n.version, fix: n.freqIx}
@@ -84,10 +87,10 @@ func (f *Fleet) captureNodeLocked(ctx context.Context, i int, spec *workload.Spe
 }
 
 // captureViewLocked snapshots the fleet for one arrival. Callers must
-// hold the fleet lock; the returned view is safe to score after release
+// hold every lock; the returned view is safe to score after release
 // because nothing in it is ever mutated in place.
 func (f *Fleet) captureViewLocked(ctx context.Context, spec *workload.Spec) (*placeView, error) {
-	v := &placeView{nodes: make([]viewNode, len(f.nodes)), ver: f.version}
+	v := &placeView{nodes: make([]viewNode, len(f.nodes)), ver: f.version.Load()}
 	for i := range f.nodes {
 		vn, err := f.captureNodeLocked(ctx, i, spec)
 		if err != nil {
@@ -159,42 +162,68 @@ func (f *Fleet) scoreNodeDetached(ctx context.Context, vn *viewNode, spec *workl
 	return s, err
 }
 
-// scoreArrivalDetached captures a view under the lock and scores it
-// detached — the sharded fleet's per-shard scoring primitive. The
-// returned per-node version stamps revalidate the eventual commit (pass
-// the winning node's stamp to commitScored).
-func (f *Fleet) scoreArrivalDetached(ctx context.Context, spec *workload.Spec, opts PlaceOptions) ([]nodeScore, []uint64, error) {
-	f.mu.Lock()
-	view, err := f.captureViewLocked(ctx, spec)
-	f.mu.Unlock()
+// placeAttempts bounds the optimistic placement loop before it falls
+// back to the all-locks path (which always terminates).
+const placeAttempts = 8
+
+// placeDetached is the optimistic single placement: capture each group
+// under its own lock, score every node detached, and commit on the
+// winning node under that node's group lock alone, provided its version
+// stamp is unchanged. A conflict re-captures and re-scores only the
+// winner, then re-picks. ok is false — nothing committed, no error —
+// when the pass finds no feasible slot or the ledger refuses the winner
+// (both fleet-wide claims that must be confirmed against a consistent
+// cluster before rejecting or preempting) or after placeAttempts
+// conflicts; the caller then decides under every lock.
+func (f *Fleet) placeDetached(ctx context.Context, spec *workload.Spec, opts PlaceOptions) (p Placed, ok bool, err error) {
+	v := &placeView{nodes: make([]viewNode, len(f.nodes))}
+	for _, g := range f.groups {
+		g.mu.Lock()
+		for i := g.lo; i < g.hi && err == nil; i++ {
+			v.nodes[i], err = f.captureNodeLocked(ctx, i, spec)
+		}
+		g.mu.Unlock()
+		if err != nil {
+			return Placed{}, false, err
+		}
+	}
+	scores, err := f.scoreViewDetached(ctx, v, spec, opts)
 	if err != nil {
-		return nil, nil, err
+		return Placed{}, false, err
 	}
-	scores, err := f.scoreViewDetached(ctx, view, spec, opts)
-	if err != nil {
-		return nil, nil, err
+	for attempt := 0; attempt < placeAttempts; attempt++ {
+		pick := f.pipe.pipe.Selector().Pick(scores)
+		if pick < 0 {
+			return Placed{}, false, nil
+		}
+		p, ok, err = f.commitScored(ctx, spec, opts, pick, scores[pick], v.nodes[pick].ver)
+		switch {
+		case errors.Is(err, ErrFleetFull):
+			return Placed{}, false, nil
+		case ok || err != nil:
+			return p, ok, err
+		}
+		f.conflicts.Inc()
+		if scores[pick], v.nodes[pick].ver, err = f.rescoreNodeDetached(ctx, pick, spec, opts); err != nil {
+			return Placed{}, false, err
+		}
 	}
-	vers := make([]uint64, len(view.nodes))
-	for i := range view.nodes {
-		vers[i] = view.nodes[i].ver
-	}
-	return scores, vers, nil
+	return Placed{}, false, nil
 }
 
 // rescoreNodeDetached refreshes a single node's entry in a detached
 // score vector after a commit conflict: only the conflicted node's
-// inputs are recaptured (one node, not the fleet) and re-scored, with a
-// fresh version stamp for the retried commit. The other entries stay as
-// captured — safe, because an unchanged stamp certifies an unchanged
+// inputs are recaptured (under its group lock alone) and re-scored, with
+// a fresh version stamp for the retried commit. The other entries stay
+// as captured — safe, because an unchanged stamp certifies an unchanged
 // assignment, and commitScored revalidates whichever node eventually
-// wins. Callers with a MaxFeasible cut must not use this (the cut is a
-// property of the whole feasible set); NewSharded rejects that
-// combination for shards > 1 and the sharded fast path re-scores fully
-// when a cut is configured.
+// wins. A MaxFeasible cut is a property of the whole feasible set, which
+// is why NewSharded refuses it with more than one group.
 func (f *Fleet) rescoreNodeDetached(ctx context.Context, i int, spec *workload.Spec, opts PlaceOptions) (nodeScore, uint64, error) {
-	f.mu.Lock()
+	g := f.nodes[i].grp
+	g.mu.Lock()
 	vn, err := f.captureNodeLocked(ctx, i, spec)
-	f.mu.Unlock()
+	g.mu.Unlock()
 	if err != nil {
 		return nodeScore{}, 0, err
 	}
@@ -209,22 +238,29 @@ func (f *Fleet) rescoreNodeDetached(ctx context.Context, i int, spec *workload.S
 	return s, vn.ver, nil
 }
 
-// commitScored commits a detached decision: under the lock, the winning
-// node's version stamp is revalidated (a mismatch returns ok=false and
-// commits nothing — the caller re-scores) and the winning slot commits
-// through the node manager exactly like an in-lock placement.
+// commitScored commits a detached decision: under the winning node's
+// group lock alone, its version stamp is revalidated (a mismatch returns
+// ok=false and commits nothing — the caller re-scores) and the slot
+// commits through the node manager and the watt ledger exactly like an
+// in-lock placement. The queue lock is taken last, only to stage and
+// flush the journal batch: still inside the group lock, so the lock
+// order stays group→queue and the log records each node's mutations in
+// the order they happened.
 func (f *Fleet) commitScored(ctx context.Context, spec *workload.Spec, opts PlaceOptions, best int, s nodeScore, ver uint64) (Placed, bool, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.nodes[best].version != ver {
+	n := f.nodes[best]
+	n.grp.mu.Lock()
+	defer n.grp.mu.Unlock()
+	if n.version != ver {
 		return Placed{}, false, nil
 	}
-	p, err := f.commitLocked(ctx, spec, opts, best, s)
+	p, retuned, err := f.commitNodeLocked(ctx, spec, opts, best, s)
 	if err != nil {
-		f.discardJournalLocked()
 		return Placed{}, false, err
 	}
-	f.placed.Inc()
+	f.mu.Lock()
+	f.journalCommitLocked(n, spec, opts, p, retuned)
 	f.flushJournalLocked()
+	f.mu.Unlock()
+	f.placed.Inc()
 	return p, true, nil
 }

@@ -136,7 +136,7 @@ type Config struct {
 	// Registry receives the fleet metrics (nil = fresh registry).
 	Registry *metrics.Registry
 	// Journal, when non-nil, receives every completed mutation's events
-	// as one batch, under the fleet lock, in commit order — the write-
+	// as one batch, under the queue lock, in commit order — the write-
 	// ahead-log hook (internal/wal: one batch = one CRC-framed record, so
 	// recovery replays whole operations or nothing). Rolled-back
 	// operations emit nothing. Implementations must be fast and must not
@@ -153,39 +153,29 @@ type Config struct {
 	// onto the key. Implementations must be safe for concurrent use and
 	// cheap: the seam is consulted on hot paths.
 	Intercept func(site, key string) error
-
-	// sharedFeats/sharedScores/sharedSolver let a Sharded fleet hand its
-	// shards one feature cache, score memo, and solver state: content-
-	// addressed and concurrency-safe, so sharing them never changes any
-	// value — it only avoids profiling one machine kind once per shard.
-	sharedFeats  *featureCache
-	sharedScores *scoreCache
-	sharedSolver *core.SolverState
-	// sharedCap hands every shard of a Sharded fleet ONE watt ledger, so
-	// the cap is a fleet-wide budget: two shards racing the remaining
-	// headroom serialize on the ledger's own lock.
-	sharedCap *capLedger
 }
 
 // node pairs one machine's manager with its combined model and config.
+//
+// Every mutable field is guarded by the node's lock group (grp).
 type node struct {
 	cfg NodeConfig
 	mgr *manager.Manager
 	cm  *core.CombinedModel
-	// down marks a lost machine (guarded by the fleet lock): placement,
-	// rebalancing, and the model totals all skip it until RestoreNode.
+	grp *lockGroup
+	// down marks a lost machine: placement, rebalancing, and the model
+	// totals all skip it until RestoreNode.
 	down bool
-	// version counts this node's state changes (guarded by the fleet
-	// lock): placements, departures, evictions, migrations, down/up,
-	// re-clocks. Detached commits revalidate the WINNING node's stamp
-	// only — a concurrent commit on another node never invalidates a
-	// decision, which is what lets sharded placements on disjoint
-	// machines land without re-scoring each other.
+	// version counts this node's state changes: placements, departures,
+	// evictions, migrations, down/up, re-clocks. Detached commits
+	// revalidate the WINNING node's stamp only — a concurrent commit on
+	// another node never invalidates a decision, which is what lets
+	// placements on disjoint lock groups land without re-scoring each
+	// other.
 	version uint64
-	// freqIx is the node's current rung on its machine's DVFS ladder
-	// (guarded by the fleet lock; the base rung for machines without
-	// one). Only setFreqLocked, FailNode (reboot-to-base), recovery, and
-	// the EnforceCap transaction move it.
+	// freqIx is the node's current rung on its machine's DVFS ladder (the
+	// base rung for machines without one). Only setFreqLocked, FailNode
+	// (reboot-to-base), recovery, and the EnforceCap transaction move it.
 	freqIx int
 
 	// asgSnap caches the manager's deep-copied assignment (and asgSuffix
@@ -194,8 +184,8 @@ type node struct {
 	// slices on every call, which dominated the warm placement path.
 	// The snapshot is read-only by contract: every scoring path copies
 	// on write (withAdditionShared, withoutResident). Writes happen under
-	// the fleet lock, or in fan-out workers that each own one node index
-	// with the fleet lock held by their caller.
+	// the node's group lock, or in fan-out workers that each own one node
+	// index with that lock held by their caller.
 	asgVersion uint64
 	asgSnap    core.Assignment
 	asgSuffix  string
@@ -232,7 +222,7 @@ type residentMeta struct {
 }
 
 // assignmentOf returns n's current assignment through the per-node
-// snapshot cache. Callers must hold the fleet lock (or be the only
+// snapshot cache. Callers must hold n's group lock (or be the only
 // worker touching n under a caller holding it) and must not mutate the
 // result.
 func (f *Fleet) assignmentOf(n *node) core.Assignment {
@@ -265,20 +255,28 @@ func (f *Fleet) decisionKeyOf(n *node, feat *core.FeatureVector) string {
 }
 
 // Fleet is the cluster scheduler. All methods are safe for concurrent
-// use: a single fleet lock serializes placement, queue, and rebalancing
-// decisions (scoring included, so every decision sees a consistent
-// cluster state), while profiling sweeps run outside it through the
-// shared singleflight cache.
+// use. Nodes are split into contiguous lock groups (one for New, n for
+// NewSharded), and one more lock, mu, guards the admission queue and the
+// journal. Lock order is every needed group lock in ascending index,
+// then mu — never the reverse — so no two operations can deadlock.
+// Every operation that can span groups (batch and group placement,
+// rebalancing, cap enforcement, preemption, departures with their queue
+// cascade, no-fit confirmation) takes all of them and decides exactly
+// as a single-lock scheduler would; with more than one group, a single
+// placement first scores detached and commits under its winning node's
+// group lock alone (see detach.go). Profiling sweeps run outside every
+// lock through the shared singleflight cache.
 type Fleet struct {
-	cfg   Config
-	nodes []*node
-	feats *featureCache
+	cfg    Config
+	nodes  []*node
+	groups []*lockGroup
+	feats  *featureCache
 	// scores memoizes per-group SPI terms and solver the underlying
 	// equilibrium solutions; both nil when ScoreCacheCap < 0 (cold mode).
 	scores *scoreCache
 	solver *core.SolverState
-	// capL is the power-cap ledger (nil until a cap is configured or set;
-	// shared across shards in a Sharded fleet). It has its own lock.
+	// capL is the power-cap ledger. It has its own lock, so commits on
+	// different groups racing the last watts of headroom serialize there.
 	capL *capLedger
 	reg  *metrics.Registry
 
@@ -293,32 +291,36 @@ type Fleet struct {
 	// solves counts executed cache-group equilibrium solves (groupTerms
 	// computes; memo hits excluded). See SolverInvocations.
 	solves atomic.Uint64
+	// version stamps the fleet's placement state: bumped by every
+	// mutation that can change a scoring outcome — commits, removals,
+	// node fail/restore, rebalance moves, recovery. The detached pump
+	// captures it with the view and revalidates a no-fit outcome against
+	// it: an unchanged version proves nothing anywhere has freed capacity.
+	version atomic.Uint64
 
-	mu sync.Mutex
-	// peekBuf is peekDecisionsLocked's reusable result slice (guarded by
-	// mu; never retained past the placement that filled it).
-	peekBuf []nodeScore
-	// cands/candPtrs are candidatesLocked's reusable buffers (guarded by
-	// mu; refreshed per placement).
+	// Guarded by every group lock (only all-locks operations touch them).
+	//
+	// peekBuf is peekDecisionsLocked's reusable result slice (never
+	// retained past the placement that filled it); cands/candPtrs are
+	// candidatesLocked's reusable buffers (refreshed per placement).
+	peekBuf  []nodeScore
 	cands    []sched.CandidateNode
 	candPtrs []*sched.CandidateNode
 	rrNode   int // Spread's machine rotation cursor
-	queue    []queued
-	seq      int // ticket source
+
+	// mu is the queue lock, always taken after any group locks.
+	mu    sync.Mutex
+	queue []queued
+	seq   int // ticket source
 	// ledger tracks preemption requeues: exponential backoff per victim
 	// key, drop after the attempt budget. pumpRound is the round clock
 	// backoff is measured on (one tick per queue pump).
 	ledger    sched.Ledger
 	pumpRound int
-	// version stamps the fleet's placement state: bumped (under mu) by
-	// every mutation that can change a scoring outcome — commits,
-	// removals, node fail/restore, rebalance moves, recovery. Detached
-	// scoring captures it with the view and re-validates at commit time:
-	// an unchanged version proves the scored snapshot is still current.
-	version uint64
-	// jbuf accumulates the current operation's journal events (guarded by
-	// mu); flushJournalLocked hands the batch to cfg.Journal, rollbacks
-	// discard it.
+	// jbuf accumulates the current operation's journal events; every
+	// mutation stages and flushes under mu, so batches reach cfg.Journal
+	// whole and in commit order. flushJournalLocked hands the batch over,
+	// rollbacks truncate it.
 	jbuf []wal.Event
 
 	placed     *metrics.Counter
@@ -331,6 +333,32 @@ type Fleet struct {
 	qDropped   *metrics.Counter
 	moves      *metrics.Counter
 	noops      *metrics.Counter
+	// conflicts counts optimistic commits that lost a version race (nil
+	// with one group, so a single-group exposition is unchanged).
+	conflicts *metrics.Counter
+}
+
+// lockGroup is one contiguous range of nodes, [lo, hi), under its own
+// lock.
+type lockGroup struct {
+	mu     sync.Mutex
+	lo, hi int
+}
+
+// lockAll takes every group lock in ascending order, then the queue lock:
+// the canonical order of every operation that can span groups.
+func (f *Fleet) lockAll() {
+	for _, g := range f.groups {
+		g.mu.Lock()
+	}
+	f.mu.Lock()
+}
+
+func (f *Fleet) unlockAll() {
+	f.mu.Unlock()
+	for i := len(f.groups) - 1; i >= 0; i-- {
+		f.groups[i].mu.Unlock()
+	}
 }
 
 // queued is one pending arrival: the workload, the caller's tag (the sim
@@ -343,17 +371,38 @@ type queued struct {
 	ticket   int
 	priority int
 	key      string
-	// pumping marks an entry whose placement is being scored outside the
-	// lock. CancelQueued may still remove it — cancellation wins, the
-	// pump's commit-time revalidation finds the ticket gone and never
-	// places it — which is what makes CancelQueued's true unambiguous.
-	pumping bool
 }
 
-// New validates cfg, applies defaults, and assembles the fleet.
-func New(cfg Config) (*Fleet, error) {
+// New validates cfg, applies defaults, and assembles a fleet whose nodes
+// share one lock group.
+func New(cfg Config) (*Fleet, error) { return NewSharded(cfg, 1) }
+
+// NewSharded is New with the nodes split into the given number of
+// contiguous, independently locked groups (the first len%shards groups
+// one node larger). Decisions never depend on the split: a single
+// placement that commits on one group runs concurrently with placements
+// on the others, and everything else takes every lock. With more than
+// one group the Spread policy and a MaxFeasible cut are rejected: both
+// are global serial state (a rotation cursor, a first-K-feasible cut)
+// the optimistic single placement cannot decide against a per-node
+// revalidation.
+func NewSharded(cfg Config, shards int) (*Fleet, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("fleet: no nodes configured")
+	}
+	if shards < 1 {
+		return nil, fmt.Errorf("fleet: shards %d < 1", shards)
+	}
+	if len(cfg.Nodes) < shards {
+		return nil, fmt.Errorf("fleet: %d shards for %d nodes", shards, len(cfg.Nodes))
+	}
+	if shards > 1 {
+		if cfg.Policy == Spread {
+			return nil, errors.New("fleet: the Spread policy is serial (rotation cursor) and cannot shard")
+		}
+		if cfg.MaxFeasible > 0 {
+			return nil, errors.New("fleet: MaxFeasible is a global cut and cannot shard")
+		}
 	}
 	if cfg.BinPackCeiling == 0 {
 		cfg.BinPackCeiling = 0.25
@@ -374,15 +423,8 @@ func New(cfg Config) (*Fleet, error) {
 		cfg.ScoreCacheCap = 4096
 	}
 	seen := map[string]bool{}
-	f := &Fleet{cfg: cfg, reg: cfg.Registry}
-	if cfg.sharedFeats != nil {
-		f.feats = cfg.sharedFeats
-	} else {
-		f.feats = newFeatureCache(cfg, f.reg)
-	}
-	if cfg.sharedScores != nil {
-		f.scores, f.solver = cfg.sharedScores, cfg.sharedSolver
-	} else if cfg.ScoreCacheCap > 0 {
+	f := &Fleet{cfg: cfg, reg: cfg.Registry, feats: newFeatureCache(cfg, cfg.Registry), capL: newCapLedger()}
+	if cfg.ScoreCacheCap > 0 {
 		f.scores = newScoreCache(cfg.ScoreCacheCap, cfg.Intercept)
 		f.solver = core.NewSolverState(cfg.ScoreCacheCap)
 	}
@@ -440,18 +482,23 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.PowerCap < 0 {
 		return nil, fmt.Errorf("fleet: negative PowerCap %v", cfg.PowerCap)
 	}
-	if cfg.sharedCap != nil {
-		f.capL = cfg.sharedCap
-	} else if cfg.PowerCap > 0 {
-		f.capL = newCapLedger()
-		f.capL.setCap(cfg.PowerCap)
+	f.capL.setCap(cfg.PowerCap)
+	// An empty node's Eq. 10 estimate is exactly its static floor —
+	// per-core idle intercepts — so seeding the ledger needs no solve.
+	for _, n := range f.nodes {
+		f.capL.setNode(n.cfg.Name, staticWatts(n))
 	}
-	if f.capL != nil {
-		// An empty node's Eq. 10 estimate is exactly its static floor —
-		// per-core idle intercepts — so seeding the ledger needs no solve.
-		for _, n := range f.nodes {
-			f.capL.setNode(n.cfg.Name, staticWatts(n))
+	per, extra := len(f.nodes)/shards, len(f.nodes)%shards
+	for lo := 0; lo < len(f.nodes); {
+		g := &lockGroup{lo: lo, hi: lo + per}
+		if len(f.groups) < extra {
+			g.hi++
 		}
+		for _, n := range f.nodes[g.lo:g.hi] {
+			n.grp = g
+		}
+		f.groups = append(f.groups, g)
+		lo = g.hi
 	}
 	if cfg.MaxFeasible < 0 {
 		return nil, fmt.Errorf("fleet: negative MaxFeasible %d", cfg.MaxFeasible)
@@ -476,9 +523,15 @@ func New(cfg Config) (*Fleet, error) {
 	f.qDropped = f.reg.Counter("fleet_queue_dropped_total")
 	f.moves = f.reg.Counter("fleet_rebalance_moves_total")
 	f.noops = f.reg.Counter("fleet_rebalance_noop_total")
+	if shards > 1 {
+		f.conflicts = f.reg.Counter("fleet_shard_conflict_total")
+	}
 	f.reg.OnCollect(f.collectGauges)
 	return f, nil
 }
+
+// Shards reports the lock-group count.
+func (f *Fleet) Shards() int { return len(f.groups) }
 
 // Registry returns the metrics registry the fleet reports into.
 func (f *Fleet) Registry() *metrics.Registry { return f.reg }
@@ -540,7 +593,7 @@ type PreemptedInfo struct {
 }
 
 // resolveFeatures profiles every (machine kind, spec) pair the placement
-// will need, outside the fleet lock, so the lock is never held across a
+// will need, outside every lock, so no lock is ever held across a
 // profiling sweep. The cache singleflight collapses concurrent resolves.
 func (f *Fleet) resolveFeatures(ctx context.Context, specs []*workload.Spec) error {
 	// The fan-out below checked cancellation implicitly; the warm path
@@ -611,13 +664,21 @@ func (f *Fleet) Place(ctx context.Context, spec *workload.Spec) (Placed, error) 
 }
 
 // PlaceWith is Place with explicit scheduling options (tag, priority
-// class, taint tolerations).
+// class, taint tolerations). With more than one lock group it first tries
+// the optimistic path (placeDetached); a no-fit outcome, a full ledger,
+// or too many version conflicts fall through to the all-locks decision,
+// the only authority allowed to reject an arrival or preempt.
 func (f *Fleet) PlaceWith(ctx context.Context, spec *workload.Spec, opts PlaceOptions) (Placed, error) {
 	if err := f.resolveFeatures(ctx, []*workload.Spec{spec}); err != nil {
 		return Placed{}, err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	if len(f.groups) > 1 {
+		if p, ok, err := f.placeDetached(ctx, spec, opts); ok || err != nil {
+			return p, err
+		}
+	}
+	f.lockAll()
+	defer f.unlockAll()
 	p, err := f.placeOneLocked(ctx, spec, opts)
 	if err != nil {
 		f.discardJournalLocked()
@@ -631,68 +692,102 @@ func (f *Fleet) PlaceWith(ctx context.Context, spec *workload.Spec, opts PlaceOp
 	return p, nil
 }
 
+// txSnap is a transaction window over the whole fleet: every manager,
+// DVFS rung, and (while capped) watt-ledger row, the Spread cursor, and
+// the staged journal length.
+type txSnap struct {
+	mgrs  []*manager.Snapshot
+	rungs []int
+	rows  map[string]float64
+	rr    int
+	jlen  int
+}
+
+// snapshotLocked opens a transaction window. Callers hold every lock.
+func (f *Fleet) snapshotLocked() txSnap {
+	s := txSnap{
+		mgrs:  make([]*manager.Snapshot, len(f.nodes)),
+		rungs: make([]int, len(f.nodes)),
+		rr:    f.rrNode,
+		jlen:  len(f.jbuf),
+	}
+	for i, n := range f.nodes {
+		s.mgrs[i], s.rungs[i] = n.mgr.Snapshot(), n.freqIx
+	}
+	if f.capActive() {
+		s.rows = f.capL.snapshotRows()
+	}
+	return s
+}
+
+// rollbackLocked restores everything snapshotLocked captured and drops
+// the events staged since, so a rolled-back operation leaves no trace in
+// the journal or the ledger. The version stamps stay bumped: a spurious
+// conflict is harmless, a missed one is not.
+func (f *Fleet) rollbackLocked(s txSnap) {
+	for i, n := range f.nodes {
+		n.mgr.Restore(s.mgrs[i])
+		if n.freqIx != s.rungs[i] {
+			n.freqIx = s.rungs[i]
+			n.keyFeat, n.keyStr = nil, ""
+		}
+	}
+	if s.rows != nil {
+		f.capL.restoreRows(s.rows)
+	}
+	f.rrNode = s.rr
+	f.jbuf = f.jbuf[:s.jlen]
+}
+
+// placeBatchLocked admits specs in order inside one transaction: either
+// every spec is placed (place decides each one), or rollbackLocked undoes
+// the prefix, the rejection and rollback counters move, and the error
+// reports why (the cause stays reachable with errors.Is; rolledBack
+// formats it after a non-empty prefix). Callers hold every lock and
+// flush the journal on success.
+func (f *Fleet) placeBatchLocked(ctx context.Context, specs []*workload.Spec, rolledBack string,
+	place func(spec *workload.Spec) (Placed, error)) ([]Placed, error) {
+	tx := f.snapshotLocked()
+	out := make([]Placed, len(specs))
+	for i, spec := range specs {
+		err := ctx.Err()
+		if err == nil {
+			out[i], err = place(spec)
+		}
+		if err != nil {
+			f.rollbackLocked(tx)
+			if errors.Is(err, ErrFleetFull) {
+				f.rejected.Inc()
+			}
+			if i > 0 {
+				f.rollbacks.Inc()
+				return nil, fmt.Errorf(rolledBack, i, err)
+			}
+			return nil, err
+		}
+	}
+	f.placed.Add(uint64(len(out)))
+	return out, nil
+}
+
 // PlaceAll admits a batch of arrivals transactionally: either every
 // instance is admitted, or every machine's resident set, instance-name
-// counter, and the fleet's round-robin cursor are restored to their
-// pre-call state and the error reports why (the cause stays reachable
-// with errors.Is).
+// counter, DVFS rung, and ledger row, and the fleet's round-robin cursor,
+// are restored to their pre-call state and the error reports why (the
+// cause stays reachable with errors.Is).
 func (f *Fleet) PlaceAll(ctx context.Context, specs []*workload.Spec) ([]Placed, error) {
 	if err := f.resolveFeatures(ctx, specs); err != nil {
 		return nil, err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	snaps := make([]*manager.Snapshot, len(f.nodes))
-	rungs := make([]int, len(f.nodes))
-	for i, n := range f.nodes {
-		snaps[i], rungs[i] = n.mgr.Snapshot(), n.freqIx
+	f.lockAll()
+	defer f.unlockAll()
+	out, err := f.placeBatchLocked(ctx, specs, "fleet: batch rolled back after %d placement(s): %w", func(spec *workload.Spec) (Placed, error) {
+		return f.placeOneLocked(ctx, spec, PlaceOptions{})
+	})
+	if err == nil {
+		f.flushJournalLocked()
 	}
-	snapRR := f.rrNode
-	admitted := 0
-	rollback := func(cause error) error {
-		for i, n := range f.nodes {
-			n.mgr.Restore(snaps[i])
-			if n.freqIx != rungs[i] {
-				n.freqIx = rungs[i]
-				n.keyFeat, n.keyStr = nil, ""
-			}
-		}
-		f.rrNode = snapRR
-		if f.capActive() {
-			// Committed reservations from the rolled-back prefix are undone
-			// by re-syncing every row against the restored managers.
-			for _, n := range f.nodes {
-				_ = f.resyncNodeCapLocked(ctx, n)
-			}
-		}
-		// Rolled-back placements must leave no trace in the journal (the
-		// version stamp stays bumped — a spurious conflict is harmless,
-		// a missed one is not).
-		f.discardJournalLocked()
-		if errors.Is(cause, ErrFleetFull) {
-			f.rejected.Inc()
-		}
-		if admitted > 0 {
-			f.rollbacks.Inc()
-			return fmt.Errorf("fleet: batch rolled back after %d placement(s): %w", admitted, cause)
-		}
-		return cause
-	}
-	out := make([]Placed, len(specs))
-	for i, s := range specs {
-		if err := ctx.Err(); err != nil {
-			return nil, rollback(err)
-		}
-		p, err := f.placeOneLocked(ctx, s, PlaceOptions{})
-		if err != nil {
-			return nil, rollback(err)
-		}
-		admitted++
-		out[i] = p
-	}
-	f.placed.Add(uint64(len(out)))
-	f.flushJournalLocked()
-	return out, nil
+	return out, err
 }
 
 // placeOneLocked runs the policy pipeline for one arrival and commits the
@@ -750,14 +845,27 @@ func (f *Fleet) runner() sched.Runner {
 	}
 }
 
-// commitLocked commits one decided slot through its node manager and
-// records the arrival's scheduler-side metadata. When the score carries
-// a frequency target (the frequency-aware policies), the node is
-// re-clocked as part of the commit; when a power cap is active, the
-// node's post-placement scaled draw is reserved in the watt ledger
-// BEFORE the manager mutates — a failed reservation surfaces as
-// ErrFleetFull with the cluster untouched.
+// commitLocked commits one decided slot (commitNodeLocked) and stages
+// its journal events. Callers hold the winning node's group lock and the
+// queue lock.
 func (f *Fleet) commitLocked(ctx context.Context, spec *workload.Spec, opts PlaceOptions, best int, s nodeScore) (Placed, error) {
+	p, retuned, err := f.commitNodeLocked(ctx, spec, opts, best, s)
+	if err != nil {
+		return Placed{}, err
+	}
+	f.journalCommitLocked(f.nodes[best], spec, opts, p, retuned)
+	return p, nil
+}
+
+// commitNodeLocked commits one decided slot through its node manager and
+// records the arrival's scheduler-side metadata, staging nothing. When
+// the score carries a frequency target (the frequency-aware policies),
+// the node is re-clocked as part of the commit (retuned reports it); when
+// a power cap is active, the node's post-placement scaled draw is
+// reserved in the watt ledger BEFORE the manager mutates — a failed
+// reservation surfaces as ErrFleetFull with the cluster untouched.
+// Callers hold the winning node's group lock; the ledger has its own.
+func (f *Fleet) commitNodeLocked(ctx context.Context, spec *workload.Spec, opts PlaceOptions, best int, s nodeScore) (p Placed, retuned bool, err error) {
 	n := f.nodes[best]
 	tgt := n.freqIx
 	if s.Freq > 0 {
@@ -767,17 +875,17 @@ func (f *Fleet) commitLocked(ctx context.Context, spec *workload.Spec, opts Plac
 	if f.capActive() {
 		feat, err := f.feats.get(ctx, n.cfg.Machine, spec)
 		if err != nil {
-			return Placed{}, err
+			return Placed{}, false, err
 		}
 		w, err := n.cm.EstimateAdditionContext(ctx, f.assignmentOf(n), feat, s.Core)
 		if err != nil {
-			return Placed{}, err
+			return Placed{}, false, err
 		}
 		d := freq.DynScaleAt(n.cfg.Machine.Core, n.cfg.Machine.Freq.State(tgt))
 		scaled := freq.ScaleWatts(w, staticWatts(n), d)
 		capOld = f.capL.nodeWatts(n.cfg.Name)
 		if !f.capL.tryReserve(n.cfg.Name, scaled) {
-			return Placed{}, fmt.Errorf("fleet: %w for %s: placing on %s would draw %.6g W against the %.6g W cap",
+			return Placed{}, false, fmt.Errorf("fleet: %w for %s: placing on %s would draw %.6g W against the %.6g W cap",
 				ErrFleetFull, spec.Name, n.cfg.Name,
 				f.capL.usedExcept(n.cfg.Name)+scaled, f.capL.capWatts())
 		}
@@ -788,10 +896,11 @@ func (f *Fleet) commitLocked(ctx context.Context, spec *workload.Spec, opts Plac
 		if capHeld {
 			f.capL.setNode(n.cfg.Name, capOld)
 		}
-		return Placed{}, err
+		return Placed{}, false, err
 	}
 	if tgt != n.freqIx {
-		f.setFreqLocked(n, tgt)
+		f.retuneLocked(n, tgt)
+		retuned = true
 	}
 	if capHeld {
 		// The reservation priced the addition prospectively (the atomic
@@ -812,18 +921,29 @@ func (f *Fleet) commitLocked(ctx context.Context, spec *workload.Spec, opts Plac
 		score = 0
 	}
 	if f.pipe.advance {
+		// Spread only, which NewSharded keeps to one group: the cursor is
+		// written under every lock.
 		f.rrNode = (best + 1) % len(f.nodes)
 	}
-	f.version++
+	f.version.Add(1)
 	n.version++
-	f.journalLocked(wal.Event{
-		Type: wal.EvAdmitted, Node: n.cfg.Name, Name: name, Core: s.Core,
-		Bench: spec.Name, Tag: opts.Tag, Priority: opts.Priority, Ticket: opts.ticket,
-	})
 	// Identity-gated: a base-state out-of-order node reports the exact
 	// legacy float64.
 	watts = freq.ScaleWatts(watts, staticWatts(n), dynScaleOf(n))
-	return Placed{Node: n.cfg.Name, Name: name, Core: s.Core, Watts: watts, Score: score}, nil
+	return Placed{Node: n.cfg.Name, Name: name, Core: s.Core, Watts: watts, Score: score}, retuned, nil
+}
+
+// journalCommitLocked stages a committed slot's events — the rung change
+// first, when the commit re-clocked the node, then the admission.
+// Callers hold the node's group lock and the queue lock.
+func (f *Fleet) journalCommitLocked(n *node, spec *workload.Spec, opts PlaceOptions, p Placed, retuned bool) {
+	if retuned {
+		f.journalFreqLocked(n)
+	}
+	f.journalLocked(wal.Event{
+		Type: wal.EvAdmitted, Node: n.cfg.Name, Name: p.Name, Core: p.Core,
+		Bench: spec.Name, Tag: opts.Tag, Priority: opts.Priority, Ticket: opts.ticket,
+	})
 }
 
 // peekDecisionsLocked is the steady-state fast path: when every live
@@ -960,8 +1080,8 @@ func (f *Fleet) QueuedInfo() []QueuedEntry {
 // than a full fleet is dropped (and counted) rather than wedging the
 // queue. Returns the admissions, tags attached.
 //
-// For model-scoring policies the equilibrium solves run *outside* the
-// fleet lock against a version-stamped view: Submit, CancelQueued,
+// For model-scoring policies the equilibrium solves run *outside* every
+// lock against a version-stamped view: Submit, CancelQueued,
 // QueueDepth, and State are never blocked behind a scoring pass, and a
 // commit only lands when the fleet state is provably unchanged since the
 // view was captured (otherwise the head is re-scored — same decision a
@@ -983,8 +1103,8 @@ func (f *Fleet) Pump(ctx context.Context) ([]Placed, error) {
 		// Spread scores nothing (its rotation cursor is read during the
 		// decision, so there is no coherent detached view) — the in-lock
 		// pump holds the lock only for map probes.
-		f.mu.Lock()
-		defer f.mu.Unlock()
+		f.lockAll()
+		defer f.unlockAll()
 		out, err := f.pumpLocked(ctx)
 		f.flushJournalLocked()
 		return out, err
@@ -1071,19 +1191,21 @@ func (f *Fleet) admitQueuedLocked(p *Placed, q queued) {
 }
 
 // pumpDetached is the scoring-policy pump loop: capture a consistent view
-// of the fleet under the lock, score it detached, then revalidate the
-// version stamp (and the entry's continued existence — cancellation wins)
-// before committing under the lock again.
+// of the fleet under every lock, score it detached, then revalidate the
+// version stamp (and the entry's continued existence — cancellation wins:
+// CancelQueued needs only the queue lock, so it can remove an entry
+// mid-score and the revalidation below never places it) before
+// committing under every lock again.
 func (f *Fleet) pumpDetached(ctx context.Context) ([]Placed, error) {
 	var out []Placed
 	first := true
 	for {
-		f.mu.Lock()
+		f.lockAll()
 		if err := ctx.Err(); err != nil {
 			// Shutdown contract: an entry is only removed after its commit
 			// succeeded, so everything not yet admitted is still queued.
 			f.flushJournalLocked()
-			f.mu.Unlock()
+			f.unlockAll()
 			return out, err
 		}
 		if first {
@@ -1093,7 +1215,7 @@ func (f *Fleet) pumpDetached(ctx context.Context) ([]Placed, error) {
 		head := f.headLocked()
 		if head < 0 {
 			f.flushJournalLocked()
-			f.mu.Unlock()
+			f.unlockAll()
 			return out, nil
 		}
 		q := f.queue[head]
@@ -1101,11 +1223,10 @@ func (f *Fleet) pumpDetached(ctx context.Context) ([]Placed, error) {
 		if err != nil {
 			f.dropQueuedLocked(head, q)
 			f.flushJournalLocked()
-			f.mu.Unlock()
+			f.unlockAll()
 			continue
 		}
-		f.queue[head].pumping = true
-		f.mu.Unlock()
+		f.unlockAll()
 
 		scores, serr := f.scoreViewDetached(ctx, view, q.spec, PlaceOptions{Priority: q.priority})
 		pick := -1
@@ -1113,19 +1234,18 @@ func (f *Fleet) pumpDetached(ctx context.Context) ([]Placed, error) {
 			pick = f.pipe.pipe.Selector().Pick(scores)
 		}
 
-		f.mu.Lock()
+		f.lockAll()
 		idx := f.ticketIndexLocked(q.ticket)
 		if idx < 0 {
 			// Cancelled (or failed over) while scoring: nothing committed,
 			// nothing to do — CancelQueued's true stays truthful.
-			f.mu.Unlock()
+			f.unlockAll()
 			continue
 		}
-		f.queue[idx].pumping = false
 		if serr != nil {
 			f.dropQueuedLocked(idx, q)
 			f.flushJournalLocked()
-			f.mu.Unlock()
+			f.unlockAll()
 			continue
 		}
 		if pick >= 0 && f.nodes[pick].version != view.nodes[pick].ver {
@@ -1134,53 +1254,42 @@ func (f *Fleet) pumpDetached(ctx context.Context) ([]Placed, error) {
 			// would have. Changes on OTHER nodes don't invalidate: the
 			// winner's score is still exact, and the selection races the
 			// same way concurrent arrivals always have.
-			f.mu.Unlock()
+			f.unlockAll()
 			continue
 		}
-		if pick < 0 && f.version != view.ver {
+		if pick < 0 && f.version.Load() != view.ver {
 			// "Nowhere fits" is a fleet-wide claim: any mutation anywhere
 			// (a departure may have freed capacity) invalidates it.
-			f.mu.Unlock()
+			f.unlockAll()
 			continue
 		}
 		opts := PlaceOptions{Tag: q.tag, Priority: q.priority, ticket: q.ticket}
-		if pick < 0 {
+		var p Placed
+		if pick >= 0 {
+			p, err = f.commitLocked(ctx, q.spec, opts, pick, scores[pick])
+		} else {
+			ok := false
 			if q.priority > 0 {
-				pp, ok, perr := f.preemptLocked(ctx, q.spec, opts)
-				if perr != nil {
-					f.discardJournalLocked()
-					f.dropQueuedLocked(idx, q)
-					f.flushJournalLocked()
-					f.mu.Unlock()
-					continue
-				}
-				if ok {
-					f.queue = append(f.queue[:idx], f.queue[idx+1:]...)
-					f.admitQueuedLocked(&pp, q)
-					f.flushJournalLocked()
-					f.mu.Unlock()
-					out = append(out, pp)
-					continue
-				}
+				p, ok, err = f.preemptLocked(ctx, q.spec, opts)
 			}
-			// Nowhere fits: the head blocks the queue (strict head-of-line).
-			f.flushJournalLocked()
-			f.mu.Unlock()
-			return out, nil
+			if err == nil && !ok {
+				// Nowhere fits: the head blocks the queue (strict
+				// head-of-line).
+				f.flushJournalLocked()
+				f.unlockAll()
+				return out, nil
+			}
 		}
-		p, err := f.commitLocked(ctx, q.spec, opts, pick, scores[pick])
 		if err != nil {
 			f.discardJournalLocked()
 			f.dropQueuedLocked(idx, q)
-			f.flushJournalLocked()
-			f.mu.Unlock()
-			continue
+		} else {
+			f.queue = append(f.queue[:idx], f.queue[idx+1:]...)
+			f.admitQueuedLocked(&p, q)
+			out = append(out, p)
 		}
-		f.queue = append(f.queue[:idx], f.queue[idx+1:]...)
-		f.admitQueuedLocked(&p, q)
 		f.flushJournalLocked()
-		f.mu.Unlock()
-		out = append(out, p)
+		f.unlockAll()
 	}
 }
 
@@ -1229,8 +1338,8 @@ func (f *Fleet) attachKeyLocked(p Placed, q queued) {
 // then pumps the admission queue into the freed capacity, returning any
 // admissions that resulted.
 func (f *Fleet) Remove(ctx context.Context, nodeName, instance string) ([]Placed, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lockAll()
+	defer f.unlockAll()
 	n := f.nodeByNameLocked(nodeName)
 	if n == nil {
 		return nil, fmt.Errorf("fleet: %w %q", ErrUnknownNode, nodeName)
@@ -1238,7 +1347,7 @@ func (f *Fleet) Remove(ctx context.Context, nodeName, instance string) ([]Placed
 	if err := n.mgr.Remove(instance); err != nil {
 		return nil, err
 	}
-	f.version++
+	f.version.Add(1)
 	n.version++
 	f.journalLocked(wal.Event{Type: wal.EvDeparted, Node: nodeName, Name: instance})
 	if m, ok := n.meta[instance]; ok {
@@ -1268,8 +1377,8 @@ func (f *Fleet) Remove(ctx context.Context, nodeName, instance string) ([]Placed
 // deterministic core/arrival order so the caller can resubmit or account
 // for them. Queued arrivals are untouched: they were never bound to a node.
 func (f *Fleet) FailNode(name string) ([]manager.Resident, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lockAll()
+	defer f.unlockAll()
 	n := f.nodeByNameLocked(name)
 	if n == nil {
 		return nil, fmt.Errorf("fleet: %w %q", ErrUnknownNode, name)
@@ -1302,10 +1411,8 @@ func (f *Fleet) FailNode(name string) ([]manager.Resident, error) {
 		n.freqIx = ix
 		n.keyFeat, n.keyStr = nil, ""
 	}
-	if f.capL != nil {
-		f.capL.setNode(name, 0)
-	}
-	f.version++
+	f.capL.setNode(name, 0)
+	f.version.Add(1)
 	n.version++
 	// One event covers the eviction cascade: replay evicts the node's
 	// residents implicitly, so a per-resident departed would double-remove.
@@ -1324,34 +1431,32 @@ func (f *Fleet) FailNode(name string) ([]manager.Resident, error) {
 // pumps the admission queue into the recovered capacity, returning any
 // admissions that resulted.
 func (f *Fleet) RestoreNode(ctx context.Context, name string) ([]Placed, error) {
-	f.mu.Lock()
+	f.lockAll()
 	n := f.nodeByNameLocked(name)
 	if n == nil {
-		f.mu.Unlock()
+		f.unlockAll()
 		return nil, fmt.Errorf("fleet: %w %q", ErrUnknownNode, name)
 	}
 	if !n.down {
-		f.mu.Unlock()
+		f.unlockAll()
 		return nil, fmt.Errorf("fleet: node %q is not down", name)
 	}
 	n.down = false
-	if f.capL != nil {
-		// Back up, empty: the node draws its static floor again.
-		f.capL.setNode(name, staticWatts(n))
-	}
+	// Back up, empty: the node draws its static floor again.
+	f.capL.setNode(name, staticWatts(n))
 	// Symmetric with FailNode: a restored machine comes back empty, so any
 	// memoized scores still keyed to its groups (possible when the caller
 	// re-placed workloads elsewhere between fail and restore) are hygiene
 	// to drop, never a correctness requirement — keys are content-addressed.
 	f.invalidateNodeLocked(n)
-	f.version++
+	f.version.Add(1)
 	n.version++
 	f.journalLocked(wal.Event{Type: wal.EvNodeUp, Node: name})
 	f.flushJournalLocked()
 	f.reg.Counter("fleet_node_up_total").Inc()
-	f.mu.Unlock()
+	f.unlockAll()
 	// Pump (not pumpLocked): queued features may need profiling against
-	// this node's machine kind, which must happen outside the fleet lock.
+	// this node's machine kind, which must happen outside every lock.
 	return f.Pump(ctx)
 }
 
@@ -1385,11 +1490,11 @@ func (ni NodeInspection) Assignment() core.Assignment {
 	return asg
 }
 
-// Inspect captures every node's state under one lock acquisition, so the
-// snapshot is consistent: no placement can commit between two nodes' rows.
+// Inspect captures every node's state under every lock, so the snapshot
+// is consistent: no placement can commit between two nodes' rows.
 func (f *Fleet) Inspect() []NodeInspection {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lockAll()
+	defer f.unlockAll()
 	out := make([]NodeInspection, len(f.nodes))
 	for i, n := range f.nodes {
 		residents := n.mgr.Residents()
@@ -1464,8 +1569,8 @@ type State struct {
 // State reports the current fleet state, computing each machine's power
 // and SPI estimates from the combined model.
 func (f *Fleet) State(ctx context.Context) (*State, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lockAll()
+	defer f.unlockAll()
 	st := &State{Policy: f.cfg.Policy.String()}
 	for _, n := range f.nodes {
 		ns, err := f.nodeStateLocked(ctx, n)
@@ -1537,8 +1642,8 @@ func (f *Fleet) nodeStateLocked(ctx context.Context, n *node) (NodeState, error)
 // Totals returns the fleet-wide predicted SPI and watts sums (the sim's
 // per-event integrand) without building the full state.
 func (f *Fleet) Totals(ctx context.Context) (spi, watts float64, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lockAll()
+	defer f.unlockAll()
 	for _, n := range f.nodes {
 		if n.down {
 			continue
@@ -1563,8 +1668,8 @@ func (f *Fleet) Totals(ctx context.Context) (spi, watts float64, err error) {
 // registry's gauges are integral); a machine whose estimate fails scrapes
 // as -1 rather than failing the exposition.
 func (f *Fleet) collectGauges(r *metrics.Registry) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lockAll()
+	defer f.unlockAll()
 	total := 0
 	for _, n := range f.nodes {
 		if n.down {
@@ -1601,6 +1706,9 @@ func (f *Fleet) collectGauges(r *metrics.Registry) {
 	r.Gauge("fleet_residents").Set(int64(total))
 	r.Gauge("fleet_queue_depth").Set(int64(len(f.queue)))
 	r.Gauge("fleet_machines").Set(int64(len(f.nodes)))
+	if len(f.groups) > 1 {
+		r.Gauge("fleet_shards").Set(int64(len(f.groups)))
+	}
 	if f.capActive() {
 		r.Gauge("fleet_power_cap_milliwatts").Set(int64(f.capL.capWatts() * 1000))
 		r.Gauge("fleet_cap_usage_milliwatts").Set(int64(f.capL.usage() * 1000))

@@ -4,9 +4,11 @@
 // priority class first, least fleet-wide predicted-SPI loss within the
 // class — places the arrival into the freed capacity, and requeues the
 // victim through the admission queue with exponential backoff (the
-// sched.Ledger). The whole exchange is transactional: every node manager
-// is snapshotted first, and any failure after the eviction restores the
-// cluster bit-for-bit before the error surfaces.
+// sched.Ledger). The whole exchange is transactional: the fleet is
+// snapshotted first (snapshotLocked), and any failure after the eviction
+// restores the cluster bit-for-bit before the error surfaces. Callers hold
+// every lock, so the victim is the cheapest one fleet-wide whatever the
+// lock-group split.
 
 package fleet
 
@@ -68,9 +70,9 @@ func (f *Fleet) victimLocked(ctx context.Context, priority int) (nodeIdx int, vi
 // preemptLocked attempts one preemption for an arrival the pipeline just
 // rejected as unplaceable. It reports ok false — cluster untouched — when
 // no resident is outranked; the caller then surfaces the original
-// ErrFleetFull. An error after the eviction starts rolls every machine
-// and the cursor back before returning, so a failed preemption is
-// indistinguishable from one never attempted.
+// ErrFleetFull. An error after the eviction starts rolls every machine,
+// rung, ledger row, and the cursor back before returning, so a failed
+// preemption is indistinguishable from one never attempted.
 func (f *Fleet) preemptLocked(ctx context.Context, spec *workload.Spec, opts PlaceOptions) (Placed, bool, error) {
 	vi, victim, ok, err := f.victimLocked(ctx, opts.Priority)
 	if err != nil || !ok {
@@ -79,28 +81,17 @@ func (f *Fleet) preemptLocked(ctx context.Context, spec *workload.Spec, opts Pla
 	vnode := f.nodes[vi]
 	vmeta := vnode.meta[victim.Name]
 
-	// Transaction window: snapshot every manager (placement may choose
-	// any node) and the cursor. The queue, ledger, and counters are only
-	// touched after the placement commits, so they never need restoring.
-	snaps := make([]*manager.Snapshot, len(f.nodes))
-	for i, n := range f.nodes {
-		snaps[i] = n.mgr.Snapshot()
-	}
-	snapRR := f.rrNode
-	restore := func() {
-		for i, n := range f.nodes {
-			n.mgr.Restore(snaps[i])
-		}
-		f.rrNode = snapRR
-	}
-
+	// Transaction window: placement may choose any node. The queue,
+	// preemption ledger, and counters are only touched after the placement
+	// commits, so they never need restoring.
+	tx := f.snapshotLocked()
 	if err := vnode.mgr.Remove(victim.Name); err != nil {
 		return Placed{}, false, fmt.Errorf("fleet: evicting preemption victim %s from %s: %w",
 			victim.Name, vnode.cfg.Name, err)
 	}
 	p, err := f.decideAndCommitLocked(ctx, spec, opts)
 	if err != nil {
-		restore()
+		f.rollbackLocked(tx)
 		f.reg.Counter("fleet_preempt_aborted_total").Inc()
 		if errors.Is(err, ErrFleetFull) {
 			// Even the freed slot did not admit the arrival (it can only

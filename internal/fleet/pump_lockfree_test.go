@@ -1,8 +1,8 @@
 package fleet_test
 
-// Regression tests for the Pump lock-freedom fix and the sharded
-// cancel-vs-pump contract. External test package: these drive the
-// exported surface only, like queue_race_test.go.
+// Regression tests for the Pump lock-freedom fix and the cancel-vs-pump
+// contract, each at one lock group and at two. External test package:
+// these drive the exported surface only, like queue_race_test.go.
 
 import (
 	"context"
@@ -24,7 +24,9 @@ import (
 // concurrent Place on the same fleet must still complete. Before the
 // fix the scoring pass ran under the fleet lock, so the Place below
 // deadlocked until the gate opened.
-func TestPumpScoresOutsideFleetLock(t *testing.T) {
+func TestPumpScoresOutsideFleetLock(t *testing.T) { forShards(t, testPumpScoresOutsideFleetLock) }
+
+func testPumpScoresOutsideFleetLock(t *testing.T, shards int) {
 	pm, err := core.SyntheticPowerModel()
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +40,7 @@ func TestPumpScoresOutsideFleetLock(t *testing.T) {
 			Name: fmt.Sprintf("m%d", i), Machine: machine.TwoCoreWorkstation(), Power: pm, MaxPerCore: 2,
 		})
 	}
-	f, err := fleet.New(fleet.Config{
+	f, err := fleet.NewSharded(fleet.Config{
 		Nodes:    nodes,
 		Policy:   fleet.LeastDegradation,
 		QueueCap: 4,
@@ -55,7 +57,7 @@ func TestPumpScoresOutsideFleetLock(t *testing.T) {
 			}
 			return nil
 		},
-	})
+	}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +103,9 @@ func TestPumpScoresOutsideFleetLock(t *testing.T) {
 	requireConserved(t, f)
 }
 
-// shardedRaceFleet builds a small sharded fleet over instant truth
-// features with an optional per-score delay widening the commit window.
-func shardedRaceFleet(t *testing.T, machines, shards, queueCap int, scoreDelay time.Duration) *fleet.Sharded {
+// shardedRaceFleet builds a small fleet over instant truth features with
+// an optional per-score delay widening the commit window.
+func shardedRaceFleet(t *testing.T, machines, shards, queueCap int, scoreDelay time.Duration) *fleet.Fleet {
 	t.Helper()
 	pm, err := core.SyntheticPowerModel()
 	if err != nil {
@@ -139,19 +141,23 @@ func shardedRaceFleet(t *testing.T, machines, shards, queueCap int, scoreDelay t
 }
 
 // TestShardedCancelVsPumpUnambiguous races CancelQueued against a
-// draining Pump on the sharded fleet. The contract: a CancelQueued that
-// returns true means the fleet never admitted that ticket (its tag never
-// appears among the placements), a false return during the race means
-// the pump's commit won, and the queue ledger — submitted = admitted +
-// abandoned + dropped + depth — balances afterwards either way.
+// draining Pump. The contract: a CancelQueued that returns true means the
+// fleet never admitted that ticket (its tag never appears among the
+// placements), a false return means the pump's commit won, and the queue
+// ledger — submitted = admitted + abandoned + dropped + depth — balances
+// afterwards either way.
 func TestShardedCancelVsPumpUnambiguous(t *testing.T) {
+	forShards(t, testCancelVsPumpUnambiguous)
+}
+
+func testCancelVsPumpUnambiguous(t *testing.T, shards int) {
 	ctx := context.Background()
 	iters := 25
 	if testing.Short() {
 		iters = 8
 	}
 	for iter := 0; iter < iters; iter++ {
-		s := shardedRaceFleet(t, 4, 2, 8, 100*time.Microsecond)
+		s := shardedRaceFleet(t, 4, shards, 8, 100*time.Microsecond)
 		specs := []string{"mcf", "gzip", "vpr"}
 		tickets := make([]int, len(specs))
 		for i, name := range specs {
@@ -209,8 +215,10 @@ func TestShardedCancelVsPumpUnambiguous(t *testing.T) {
 // a Pump abandoned by context cancellation returns the error and leaves
 // every unadmitted entry in the queue — nothing is silently dropped
 // between dequeue and commit.
-func TestShardedPumpCtxCancelKeepsQueue(t *testing.T) {
-	s := shardedRaceFleet(t, 4, 2, 8, 0)
+func TestShardedPumpCtxCancelKeepsQueue(t *testing.T) { forShards(t, testPumpCtxCancelKeepsQueue) }
+
+func testPumpCtxCancelKeepsQueue(t *testing.T, shards int) {
+	s := shardedRaceFleet(t, 4, shards, 8, 0)
 	for i, name := range []string{"mcf", "gzip", "vpr"} {
 		if _, err := s.Submit(workload.ByName(name), fmt.Sprintf("job%d", i)); err != nil {
 			t.Fatal(err)

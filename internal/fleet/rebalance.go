@@ -50,7 +50,7 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 	// Warm the feature cache for every (machine kind, resident workload)
 	// pair outside the lock: in a heterogeneous fleet a resident has only
 	// been profiled against its own machine kind so far.
-	f.mu.Lock()
+	f.lockAll()
 	var specs []*workload.Spec
 	for _, n := range f.nodes {
 		if n.down {
@@ -60,13 +60,13 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 			specs = append(specs, r.Spec)
 		}
 	}
-	f.mu.Unlock()
+	f.unlockAll()
 	if err := f.resolveFeatures(ctx, specs); err != nil {
 		return Move{}, err
 	}
 
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lockAll()
+	defer f.unlockAll()
 
 	if f.cfg.Intercept != nil {
 		// Injection seam ahead of any scoring or mutation: an injected
@@ -236,7 +236,7 @@ func (f *Fleet) Rebalance(ctx context.Context, minImprovement float64) (Move, er
 		dstN.meta[newName] = m
 	}
 	f.moves.Inc()
-	f.version++
+	f.version.Add(1)
 	srcN.version++
 	dstN.version++
 	if capMove {

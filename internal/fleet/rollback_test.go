@@ -3,9 +3,13 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
+	"mpmc/internal/machine"
 	"mpmc/internal/manager"
+	"mpmc/internal/threads"
 	"mpmc/internal/workload"
 )
 
@@ -129,5 +133,50 @@ func TestRemoveUnknownNode(t *testing.T) {
 	}
 	if _, err := f.Place(context.Background(), workload.ByName("mcf")); err != nil {
 		t.Fatalf("Place after bad Remove: %v", err)
+	}
+}
+
+// TestRollbackRestoresLedger pins the watt ledger across rolled-back
+// transactions at one lock group and at two: a batch or thread group that
+// overflows the fleet mid-way must leave every ledger row where it was,
+// so the tracked draw still equals a fresh Totals pass bit for bit (a
+// row always equals what a fresh resync would compute).
+func TestRollbackRestoresLedger(t *testing.T) {
+	ctx := context.Background()
+	pm := testPower(t)
+	mcf := workload.ByName("mcf")
+	for _, shards := range []int{1, 2} {
+		for _, via := range []string{"group", "batch"} {
+			t.Run(fmt.Sprintf("shards%d/%s", shards, via), func(t *testing.T) {
+				nodes := []NodeConfig{
+					{Machine: machine.TwoCoreWorkstation(), Power: pm, MaxPerCore: 1},
+					{Machine: machine.TwoCoreWorkstation(), Power: pm, MaxPerCore: 1},
+				}
+				f, err := NewSharded(Config{
+					Nodes: nodes, Policy: LeastDegradation, PowerCap: 1e6,
+					Seed: 1, Profile: oracle(nil, 0),
+				}, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Five members on four slots: the fifth overflows after four
+				// commits reserved their rows.
+				if via == "group" {
+					_, err = f.PlaceGroup(ctx, threads.GroupSpec{Base: mcf, Threads: 5, SharedFrac: 0.5, WriteFrac: 0.5})
+				} else {
+					_, err = f.PlaceAll(ctx, []*workload.Spec{mcf, mcf, mcf, mcf, mcf})
+				}
+				if !errors.Is(err, ErrFleetFull) {
+					t.Fatalf("overflow error %v, want ErrFleetFull", err)
+				}
+				_, watts, err := f.Totals(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if usage := f.CapUsage(); math.Float64bits(usage) != math.Float64bits(watts) {
+					t.Fatalf("ledger tracks %.17g W after rollback, fresh Totals %.17g W", usage, watts)
+				}
+			})
+		}
 	}
 }

@@ -404,7 +404,7 @@ func withAdditionShared(asg core.Assignment, feat *core.FeatureVector, c int) co
 // invalidateNodeLocked drops the memo entries for the node's current
 // groups. Content keys cannot go stale, so this is hygiene, not
 // correctness: a failed machine's groups are dead weight the LRU should
-// not have to age out. Called with the fleet lock held.
+// not have to age out. Called with every lock held.
 func (f *Fleet) invalidateNodeLocked(n *node) {
 	if f.scores == nil {
 		return
@@ -453,8 +453,8 @@ func (f *Fleet) SolverStateStats() core.SolverStateStats {
 // fleet are rebuilt in place (a power-model retrain) or to release
 // memory.
 func (f *Fleet) FlushScoreCache() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.lockAll()
+	defer f.unlockAll()
 	if f.scores != nil {
 		f.scores.flush()
 	}

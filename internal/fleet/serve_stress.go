@@ -1,10 +1,10 @@
-// Sustained-load lane for the sharded serving tier: many concurrent
-// clients churning placements and departures against one Sharded fleet,
-// timed wall-clock. Where RunStress proves the predicate stages cut
-// solver work on a serial trace, RunServeStress proves the sharding
-// moved the concurrency ceiling: placement commits on disjoint shards
-// proceed in parallel, so throughput scales past the single-lock fleet,
-// and the report pins placements/sec and latency percentiles.
+// Sustained-load lane for the serving tier: many concurrent clients
+// churning placements and departures against one fleet split into lock
+// groups, timed wall-clock. Where RunStress proves the predicate stages
+// cut solver work on a serial trace, RunServeStress measures the
+// concurrency ceiling: single placements score detached and commit on
+// their winning node's group, and the report pins placements/sec and
+// latency percentiles.
 //
 // The concurrent phase is intentionally nondeterministic (that is the
 // point); decision correctness under sharding is pinned separately by
@@ -71,7 +71,7 @@ type ServeStressReport struct {
 	MaxMicros float64 `json:"max_micros"`
 }
 
-// RunServeStress builds the sharded fleet and drives the churn.
+// RunServeStress builds the fleet and drives the churn.
 func RunServeStress(ctx context.Context, cfg ServeStressConfig) (*ServeStressReport, error) {
 	if cfg.Machines <= 0 || cfg.Ops <= 0 {
 		return nil, fmt.Errorf("fleet: serve-stress needs machines and ops, got %d/%d", cfg.Machines, cfg.Ops)
@@ -193,7 +193,7 @@ func RunServeStress(ctx context.Context, cfg ServeStressConfig) (*ServeStressRep
 		rep.Rejected += stats[c].rejected
 		all = append(all, stats[c].lat...)
 	}
-	rep.Conflicts = s.conflicts.Value()
+	rep.Conflicts = s.reg.CounterValue("fleet_shard_conflict_total")
 	if elapsed > 0 {
 		rep.PlacementsPerSec = float64(rep.Placed) / elapsed.Seconds()
 	}

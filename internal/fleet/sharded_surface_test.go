@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"mpmc/internal/core"
@@ -24,7 +25,7 @@ import (
 
 // surfaceFleet builds a deterministic sharded fleet over truth-table
 // features; mutate adjusts the config before construction.
-func surfaceFleet(t *testing.T, machines, shards int, mutate func(*fleet.Config)) *fleet.Sharded {
+func surfaceFleet(t *testing.T, machines, shards int, mutate func(*fleet.Config)) *fleet.Fleet {
 	t.Helper()
 	pm, err := core.SyntheticPowerModel()
 	if err != nil {
@@ -218,29 +219,16 @@ func TestShardedColdScorePlacement(t *testing.T) {
 	}
 }
 
-// recoverBackend is the journal→recover round-trip surface shared by
-// *fleet.Fleet and *fleet.Sharded.
-type recoverBackend interface {
-	PlaceAll(ctx context.Context, specs []*workload.Spec) ([]fleet.Placed, error)
-	Place(ctx context.Context, spec *workload.Spec) (fleet.Placed, error)
-	Submit(spec *workload.Spec, tag string) (int, error)
-	CancelQueued(ticket int) bool
-	FailNode(name string) ([]manager.Resident, error)
-	State(ctx context.Context) (*fleet.State, error)
-	QueuedInfo() []fleet.QueuedEntry
-	Recover(ctx context.Context, st *wal.State) error
-}
-
 // TestJournalRecoverRoundTrip replays a journaled mutation history into
 // a fresh fleet via wal.State and requires the recovered serving state
-// to be byte-identical — for the single-lock fleet and the sharded one.
+// to be byte-identical — at one lock group and at two.
 func TestJournalRecoverRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	pm, err := core.SyntheticPowerModel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(shards int, journal func([]wal.Event)) recoverBackend {
+	build := func(shards int, journal func([]wal.Event)) *fleet.Fleet {
 		var nodes []fleet.NodeConfig
 		for i := 0; i < 4; i++ {
 			nodes = append(nodes, fleet.NodeConfig{
@@ -256,14 +244,7 @@ func TestJournalRecoverRoundTrip(t *testing.T) {
 			},
 			Journal: journal,
 		}
-		if shards > 1 {
-			s, err := fleet.NewSharded(cfg, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}
-		f, err := fleet.New(cfg)
+		f, err := fleet.NewSharded(cfg, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,5 +434,103 @@ func TestShardedConstructionLimits(t *testing.T) {
 	}
 	if err := f.Registry().WriteText(io.Discard); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// metricsAfterChurn drives one fixed place/fail/restore/rebalance/
+// rollback/preempt/cap sequence and returns the /metrics exposition.
+func metricsAfterChurn(t *testing.T, shards int) string {
+	t.Helper()
+	ctx := context.Background()
+	s := surfaceFleet(t, 4, shards, nil) // 8 slots
+	specs := func(names ...string) []*workload.Spec {
+		out := make([]*workload.Spec, len(names))
+		for i, n := range names {
+			out[i] = workload.ByName(n)
+		}
+		return out
+	}
+	free := func() int {
+		n := 8
+		for _, ni := range s.Inspect() {
+			n -= len(ni.Residents)
+		}
+		return n
+	}
+	pool := []string{"gzip", "vpr", "mcf", "art", "swim", "ammp", "applu", "twolf", "bzip2"}
+	if _, err := s.PlaceAll(ctx, specs("gzip", "vpr", "mcf")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Place(ctx, workload.ByName("art")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.FailNode("m0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RestoreNode(ctx, "m0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Rebalance(ctx, 0); err != nil && !errors.Is(err, manager.ErrNoImprovement) {
+		t.Fatal(err)
+	}
+	// One spec more than fits: the batch rolls back after a prefix.
+	if _, err := s.PlaceAll(ctx, specs(pool[:free()+1]...)); !errors.Is(err, fleet.ErrFleetFull) {
+		t.Fatalf("overfull batch: %v", err)
+	}
+	if _, err := s.PlaceAll(ctx, specs(pool[:free()]...)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Place(ctx, workload.ByName("equake")); !errors.Is(err, fleet.ErrFleetFull) {
+		t.Fatalf("place on a full fleet: %v", err)
+	}
+	if _, err := s.SubmitWith(workload.ByName("equake"), "vip", 2); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := s.Pump(ctx); err != nil || len(p) != 1 || p[0].Preempted == nil {
+		t.Fatalf("priority pump: %v, %v", p, err)
+	}
+	ni := s.Inspect()[1]
+	if _, err := s.Remove(ctx, ni.Name, ni.Residents[0].Name); err != nil {
+		t.Fatal(err)
+	}
+	if _, watts, err := s.Totals(ctx); err != nil {
+		t.Fatal(err)
+	} else if err := s.SetPowerCap(ctx, watts*0.9); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := s.EnforceCap(ctx); err != nil || rep.Downclocks+rep.Migrations == 0 {
+		t.Fatalf("enforcement: %+v, %v", rep, err)
+	}
+	var b strings.Builder
+	if err := s.Registry().WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestShardedMetricsMatchOneGroup pins /metrics across lock-group
+// counts: one registry serves every group, so the same sequence leaves
+// the same exposition — every counter, name and value — at two groups as
+// at one. The only difference allowed is the split itself: fleet_shards
+// and fleet_shard_conflict_total, registered only with more than one
+// group so the one-group exposition is unchanged.
+func TestShardedMetricsMatchOneGroup(t *testing.T) {
+	one, two := metricsAfterChurn(t, 1), metricsAfterChurn(t, 2)
+	if strings.Contains(one, "fleet_shard") {
+		t.Fatalf("one-group exposition carries shard metrics:\n%s", one)
+	}
+	var kept []string
+	for _, line := range strings.SplitAfter(two, "\n") {
+		if !strings.Contains(line, "fleet_shards") && !strings.Contains(line, "fleet_shard_conflict_total") {
+			kept = append(kept, line)
+		}
+	}
+	if got := strings.Join(kept, ""); got != one {
+		t.Fatalf("two-group exposition diverged:\n--- one group\n%s\n--- two groups\n%s", one, got)
+	}
+	for _, want := range []string{"fleet_shards 2", "fleet_node_down_total 1", "fleet_place_rollback_total 1", "fleet_preempt_total 1"} {
+		if !strings.Contains(two, want+"\n") {
+			t.Errorf("two-group exposition lacks %q", want)
+		}
 	}
 }

@@ -369,9 +369,9 @@ func TestFleetUnplacePumpsQueue(t *testing.T) {
 	wantAPIError(t, status, raw, http.StatusNotFound, "unknown_node")
 }
 
-// TestFleetShardedBackend serves the /v1/fleet surface from a sharded
-// fleet: the HTTP layer is backend-agnostic, so placement, state, and
-// unplace behave exactly as with the single-lock fleet.
+// TestFleetShardedBackend serves the /v1/fleet surface from a fleet
+// split into two lock groups: placement, state, and unplace behave
+// exactly as with one group.
 func TestFleetShardedBackend(t *testing.T) {
 	reg := metrics.NewRegistry()
 	pm := fitPowerModel(t)
@@ -518,8 +518,8 @@ func TestFleetCapEndpoint(t *testing.T) {
 	wantAPIError(t, status, raw, http.StatusBadRequest, "bad_request")
 }
 
-// TestFleetCapShardedBackend pins the same surface against the sharded
-// backend, whose shards share one watt ledger.
+// TestFleetCapShardedBackend pins the same surface against a two-group
+// fleet, whose groups share one watt ledger.
 func TestFleetCapShardedBackend(t *testing.T) {
 	reg := metrics.NewRegistry()
 	pm := fitPowerModel(t)

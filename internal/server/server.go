@@ -83,19 +83,19 @@ type Config struct {
 	Registry *metrics.Registry
 	// Profile overrides the profiling implementation (nil = core.Profile).
 	Profile ProfileFunc
-	// Fleet optionally attaches a cluster scheduler; when set, the
-	// /v1/fleet/* routes are served. Both *fleet.Fleet and *fleet.Sharded
-	// satisfy the interface. Pass the same Registry to the fleet and the
-	// server so the fleet gauges appear in this server's /metrics.
+	// Fleet optionally attaches a cluster scheduler (a *fleet.Fleet, at
+	// any lock-group count); when set, the /v1/fleet/* routes are served.
+	// Pass the same Registry to the fleet and the server so the fleet
+	// gauges appear in this server's /metrics.
 	// Assign conditionally — a typed-nil pointer in the interface would
 	// read as "fleet present".
 	Fleet FleetBackend
 }
 
 // FleetBackend is the cluster-scheduler surface the HTTP tier serves.
-// *fleet.Fleet implements it directly; *fleet.Sharded implements it with
-// per-group locking so placements on disjoint machines commit
-// concurrently.
+// *fleet.Fleet is the one implementation; the interface exists so tests
+// and benchmarks can wrap or stand in for it (a gated fake, a tracing
+// decorator).
 type FleetBackend interface {
 	PlaceWith(ctx context.Context, spec *workload.Spec, opts fleet.PlaceOptions) (fleet.Placed, error)
 	PlaceAll(ctx context.Context, specs []*workload.Spec) ([]fleet.Placed, error)
